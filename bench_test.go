@@ -36,7 +36,11 @@ var (
 func evalAll(b *testing.B) []*harness.BenchRun {
 	b.Helper()
 	runAllOnce.Do(func() {
-		runAllRes, runAllErr = harness.RunAll(benchScale, arch.DefaultConfig())
+		rep := harness.RunAllGuarded(context.Background(), benchScale, arch.DefaultConfig(), harness.GuardOptions{})
+		runAllRes = rep.Runs
+		if len(rep.Failures) > 0 {
+			runAllErr = rep.Failures[0]
+		}
 	})
 	if runAllErr != nil {
 		b.Fatal(runAllErr)
@@ -62,7 +66,7 @@ func BenchmarkFig1ParserLoop(b *testing.B) {
 	var st harness.Fig1Stats
 	for i := 0; i < b.N; i++ {
 		var err error
-		st, err = harness.Fig1Parser(benchScale)
+		st, err = harness.Fig1ParserCached(benchScale, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -80,7 +84,7 @@ func BenchmarkFig6LoopCoverage(b *testing.B) {
 	var parserTotal, vortexTotal float64
 	for i := 0; i < b.N; i++ {
 		for _, name := range bench.Names() {
-			pts, err := harness.LoopCoverage(name, benchScale)
+			pts, err := harness.LoopCoverageCached(name, benchScale, nil)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -187,7 +191,7 @@ func BenchmarkAblationRecovery(b *testing.B) {
 	b.ReportAllocs()
 	var srx, squash float64
 	for i := 0; i < b.N; i++ {
-		rows, err := harness.AblateRecovery("parser", benchScale)
+		rows, err := harness.Sweep(context.Background(), "parser", benchScale, harness.RecoveryVariants(), harness.GuardOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -203,7 +207,7 @@ func BenchmarkAblationRegCheck(b *testing.B) {
 	b.ReportAllocs()
 	var val, upd float64
 	for i := 0; i < b.N; i++ {
-		rows, err := harness.AblateRegCheck("mcf", benchScale)
+		rows, err := harness.Sweep(context.Background(), "mcf", benchScale, harness.RegCheckVariants(), harness.GuardOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -219,7 +223,7 @@ func BenchmarkAblationSRB(b *testing.B) {
 	sizes := []int{16, 64, 256, 1024}
 	var spd []float64
 	for i := 0; i < b.N; i++ {
-		rows, err := harness.AblateSRB("parser", benchScale, sizes)
+		rows, err := harness.Sweep(context.Background(), "parser", benchScale, harness.SRBVariants(sizes), harness.GuardOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -26,7 +26,7 @@ import (
 // and flattens it exactly the way the daemon does: the comparison below is
 // therefore field-by-field over the same RunStats shape.
 func localExpectation(benchName string, scale int) (*client.SimulateResponse, error) {
-	run, err := harness.RunBenchmark(benchName, scale, arch.DefaultConfig())
+	run, err := harness.RunBenchmarkCached(benchName, scale, arch.DefaultConfig(), nil)
 	if err != nil {
 		return nil, err
 	}

@@ -121,7 +121,7 @@ func soakExpectation(req client.SimulateRequest) (*client.SimulateResponse, erro
 	if scale <= 0 {
 		scale = 1
 	}
-	run, err := harness.RunBenchmark(req.Benchmark, scale, cfg)
+	run, err := harness.RunBenchmarkCached(req.Benchmark, scale, cfg, nil)
 	if err != nil {
 		return nil, err
 	}

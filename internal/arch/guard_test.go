@@ -34,6 +34,24 @@ func TestCycleLimit(t *testing.T) {
 	if !errors.Is(err, ErrCycleLimit) {
 		t.Fatalf("err = %v, want ErrCycleLimit", err)
 	}
+	// The aborted engine cancels its feed: the interpreter stops within a
+	// context-polling interval instead of running the program to the end.
+	long := buildParallelLoop(20000, 6)
+	cfg.CycleLimit = 1000
+	m := NewMachine(load(t, long), cfg)
+	var fed int64
+	m.SetTraceMiddleware(func(h trace.Handler) trace.Handler {
+		return trace.HandlerFunc(func(ev *trace.Event) {
+			fed++
+			h.Event(ev)
+		})
+	})
+	if _, err := m.Run(); !errors.Is(err, ErrCycleLimit) {
+		t.Fatalf("long run err = %v, want ErrCycleLimit", err)
+	}
+	if total := simulate(t, long, BaselineConfig()).Instrs; fed > total/2 {
+		t.Fatalf("interpreter fed %d of %d events after the engine aborted", fed, total)
+	}
 	// SPT mode respects the budget too.
 	cres := compileSPT(t, p)
 	cfg = DefaultConfig()

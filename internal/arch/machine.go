@@ -50,42 +50,108 @@ func (m *Machine) Run() (*RunStats, error) { return m.RunContext(context.Backgro
 // returned error distinguishes budget exhaustion (ErrCycleLimit,
 // interp.ErrStepLimit, context deadline) from structural failures.
 func (m *Machine) RunContext(ctx context.Context) (*RunStats, error) {
-	if err := m.cfg.Validate(); err != nil {
-		return nil, err
-	}
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	e := newEngine(m.lp, m.cfg)
-	defer e.releaseBuf()
-	e.cancel = cancel
+	stats, errs := runBank(ctx, m.lp, []Config{m.cfg}, nil, m.live)
+	return stats[0], errs[0]
+}
+
+// live is the interpreter feed of a bank of one: the program runs under
+// the engine's step limit, through the trace middleware when one is set.
+func (m *Machine) live(ctx context.Context, hs []trace.Handler, limits []int64) (int64, error) {
 	im := interp.New(m.lp)
-	if m.cfg.StepLimit > 0 {
-		im.SetStepLimit(m.cfg.StepLimit)
+	if limits[0] > 0 {
+		im.SetStepLimit(limits[0])
 	}
 	im.SetContext(ctx)
-	var h trace.Handler = e
+	h := hs[0]
 	if m.mw != nil {
-		h = m.mw(e)
+		h = m.mw(h)
 	}
 	im.SetHandler(h)
 	res, err := im.Run()
-	if e.failure != nil {
-		// The engine aborted the run from the inside (cycle budget or a
-		// corrupt event); its cause outranks the interpreter's view of the
-		// resulting cancellation.
-		return nil, e.failure
+	return res.Steps, err
+}
+
+// feed delivers one architectural trace to a bank of engines: hs[i]
+// receives at most limits[i] events (<= 0: all of them). It returns the
+// trace's total step count.
+type feed func(ctx context.Context, hs []trace.Handler, limits []int64) (steps int64, err error)
+
+// runBank is the one simulation driver. It builds an engine per
+// configuration, drives them all from a single feed, and settles each
+// engine on its own. stats[i] is nil exactly when errs[i] is not; an
+// engine's error is, in order of precedence: an invalid configuration,
+// broken (a feed that cannot be simulated at all, such as a torn
+// recording), the engine's own abort (cycle budget, corrupt event), the
+// feed's error, the configuration's step limit, and an abort while
+// draining. The feed is cancelled once every engine has aborted; a feed
+// that outlives its engines has nothing left to simulate.
+func runBank(ctx context.Context, lp *interp.Program, cfgs []Config, broken error, run feed) ([]*RunStats, []error) {
+	stats := make([]*RunStats, len(cfgs))
+	errs := make([]error, len(cfgs))
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	var (
+		engines []*engine
+		slots   []int // engine -> cfgs index
+		hs      []trace.Handler
+		limits  []int64
+		alive   int
+	)
+	defer func() {
+		for _, e := range engines {
+			e.releaseBuf()
+		}
+	}()
+	onFail := func() {
+		if alive--; alive == 0 {
+			cancel()
+		}
 	}
-	if err != nil {
-		return nil, err
+	for i, cfg := range cfgs {
+		if err := cfg.Validate(); err != nil {
+			errs[i] = err
+			continue
+		}
+		if broken != nil {
+			errs[i] = broken
+			continue
+		}
+		e := newEngine(lp, cfg)
+		e.onFail = onFail
+		engines = append(engines, e)
+		slots = append(slots, i)
+		hs = append(hs, e)
+		limits = append(limits, cfg.StepLimit)
 	}
-	e.finish()
-	if e.failure != nil {
-		// Short traces fit entirely inside the lookahead window, so budget
-		// exhaustion can first surface while draining.
-		return nil, e.failure
+	if len(engines) == 0 {
+		return stats, errs
 	}
-	e.stats.Instrs = res.Steps
-	return e.stats, nil
+	alive = len(engines)
+	steps, ferr := run(ctx, hs, limits)
+	for j, e := range engines {
+		i := slots[j]
+		switch {
+		case e.failure != nil:
+			// The engine aborted from the inside; its cause outranks the
+			// feed's view of the resulting cancellation.
+			errs[i] = e.failure
+		case ferr != nil:
+			errs[i] = ferr
+		case limits[j] > 0 && limits[j] < steps:
+			errs[i] = interp.ErrStepLimit
+		default:
+			e.finish()
+			if e.failure != nil {
+				// Short traces fit entirely inside the lookahead window, so
+				// budget exhaustion can first surface while draining.
+				errs[i] = e.failure
+				continue
+			}
+			e.stats.Instrs = steps
+			stats[i] = e.stats
+		}
+	}
+	return stats, errs
 }
 
 // storeRec is one main-thread post-fork store for the speculative load
@@ -163,8 +229,8 @@ type engine struct {
 	curLoop *LoopStats
 	lastCm  int64
 
-	cancel  context.CancelFunc
-	failure error // budget exhaustion or corrupt input; simulation stops
+	onFail  func() // tells the driver this engine stopped simulating
+	failure error  // budget exhaustion or corrupt input; simulation stops
 
 	// frame linkage for return-value readiness and reg tracking. The
 	// last-touched entry is memoized: consecutive events overwhelmingly
@@ -178,12 +244,12 @@ type engine struct {
 	// simulator's steady state allocates nothing (locked in by
 	// BenchmarkSpeculationEpisodes / TestSpeculationSteadyStateAllocs).
 	specFree        []*specThread // pooled thread records (commit grabs the next before releasing the old, so two circulate)
-	specPipe        *pipeline   // persistent speculative-core pipeline
-	specBd          Breakdown   // sink for the speculative pipeline's accounting
-	srbScratch      []srbEntry  // SRB entries, preallocated to cfg.SRBSize
-	reexecScratch   []int       // replayed entry indices
-	violatedScratch []bool      // violated live-in registers
-	regsScratch     []int64     // commit-time register tracking (absorb)
+	specPipe        *pipeline     // persistent speculative-core pipeline
+	specBd          Breakdown     // sink for the speculative pipeline's accounting
+	srbScratch      []srbEntry    // SRB entries, preallocated to cfg.SRBSize
+	reexecScratch   []int         // replayed entry indices
+	violatedScratch []bool        // violated live-in registers
+	regsScratch     []int64       // commit-time register tracking (absorb)
 	lastWriter      map[specWKey]int
 	lwFrame         []int32 // loop-frame register writers (dense fast path; -1 = none)
 	ssb             map[int64]int
@@ -291,12 +357,12 @@ func (e *engine) claimCore() int64 {
 }
 
 // fail aborts the simulation with the given cause: further events are
-// ignored and the producing interpreter is cancelled.
+// ignored, and the driver cancels the feed once no engine is left.
 func (e *engine) fail(err error) {
 	if e.failure == nil {
 		e.failure = err
-		if e.cancel != nil {
-			e.cancel()
+		if e.onFail != nil {
+			e.onFail()
 		}
 	}
 }

@@ -124,9 +124,9 @@ func TestMultiSpecDeterminism(t *testing.T) {
 			if !reflect.DeepEqual(first, second) {
 				t.Fatalf("two fused runs diverge:\n got %+v\nwant %+v", second, first)
 			}
-			replayed, err := NewMachine(lp, cfg).RunRecorded(rec)
+			replayed, err := replayOne(lp, rec, cfg)
 			if err != nil {
-				t.Fatalf("RunRecorded: %v", err)
+				t.Fatalf("replay: %v", err)
 			}
 			if !reflect.DeepEqual(replayed, first) {
 				t.Fatalf("replay diverges from fused run:\n got %+v\nwant %+v", replayed, first)
@@ -212,8 +212,8 @@ func TestMultiSpecSquashIsolation(t *testing.T) {
 }
 
 // TestRunRecordedMultiCores sends an N-core bank through the broadcast
-// replay path: every variant must return exactly the stats of its own solo
-// replay. Run under -race this also exercises the per-engine chain state
+// replay path: every variant must return exactly the stats of its own live
+// run. Run under -race this also exercises the per-engine chain state
 // for sharing bugs (the multispec outcome counters are process-global and
 // atomic; everything else must be engine-private).
 func TestRunRecordedMultiCores(t *testing.T) {
@@ -235,12 +235,12 @@ func TestRunRecordedMultiCores(t *testing.T) {
 		if errs[i] != nil {
 			t.Fatalf("%s: %v", names[i], errs[i])
 		}
-		want, err := NewMachine(lp, cfg).RunRecorded(rec)
+		want, err := NewMachine(lp, cfg).Run()
 		if err != nil {
-			t.Fatalf("%s solo replay: %v", names[i], err)
+			t.Fatalf("%s live run: %v", names[i], err)
 		}
 		if !reflect.DeepEqual(stats[i], want) {
-			t.Fatalf("%s diverges from its solo replay:\n got %+v\nwant %+v", names[i], stats[i], want)
+			t.Fatalf("%s diverges from its live run:\n got %+v\nwant %+v", names[i], stats[i], want)
 		}
 	}
 }

@@ -13,7 +13,7 @@ import (
 // Config.StepLimit does for a fused simulation: exceeding it aborts the
 // capture with interp.ErrStepLimit and nothing is retained. The returned
 // recording replays bit-identically into any machine configuration for the
-// same program (RunRecorded).
+// same program (RunRecordedMulti).
 func RecordTrace(ctx context.Context, lp *interp.Program, stepLimit int64) (*trace.Recording, error) {
 	im := interp.New(lp)
 	if stepLimit > 0 {
@@ -30,155 +30,31 @@ func RecordTrace(ctx context.Context, lp *interp.Program, stepLimit int64) (*tra
 	return rec.Finalize(res.Steps), nil
 }
 
-// RunRecorded is RunContext fed from a finished recording instead of a live
-// interpreter. See RunRecordedContext.
-func (m *Machine) RunRecorded(rec *trace.Recording) (*RunStats, error) {
-	return m.RunRecordedContext(context.Background(), rec)
-}
-
-// RunRecordedContext simulates a previously captured trace. The engine is
-// fed through exactly the code path a live interpreter uses (the same
-// trace.Handler, including any middleware installed with
-// SetTraceMiddleware — recordings hold the raw pre-middleware stream), so a
-// replayed run is bit-identical to the fused run it stands in for.
-//
-// Config.StepLimit applies to the replay just as it does to a live run:
-// feeding stops after StepLimit events and interp.ErrStepLimit is returned.
-// A nil, unfinalized or truncated recording fails with ErrCorruptTrace, as
-// does any event whose coordinates do not resolve in the loaded program.
-// When both the step and cycle budgets would be exceeded in the same run,
-// the surfaced budget error may differ from the fused run's; both modes
-// return nil stats and a budget-class error.
 // RunRecordedMulti simulates one captured trace under several machine
 // configurations in a single broadcast decode pass: N engines are
 // constructed up front and every event is decoded once and fanned out to
 // all of them (trace.MultiReplayer). Each engine's result is bit-identical
-// to a RunRecordedContext of the same configuration — engines share nothing
+// to a live RunContext of the same configuration — engines share nothing
 // mutable, so fan-out order cannot influence per-engine state.
 //
 // Failure is isolated per variant: an engine that exhausts its cycle budget,
 // rejects a corrupt event, or hits its per-variant StepLimit gets its own
 // error while its siblings finish normally (a failed engine stops consuming
 // and is shed from the pass on the broadcast's polling cadence). An invalid
-// configuration or a torn recording likewise fails only the affected
-// entries. The returned slices are indexed like cfgs; stats[i] is nil
-// exactly when errs[i] is non-nil.
+// configuration fails only its own entry; a nil, unfinalized or truncated
+// recording fails every valid entry with ErrCorruptTrace. The returned
+// slices are indexed like cfgs; stats[i] is nil exactly when errs[i] is
+// non-nil. When both the step and cycle budgets of one configuration would
+// be exceeded, the surfaced budget error may differ from the live run's;
+// both are budget-class errors with nil stats.
 func RunRecordedMulti(ctx context.Context, lp *interp.Program, rec *trace.Recording, cfgs []Config) ([]*RunStats, []error) {
-	stats := make([]*RunStats, len(cfgs))
-	errs := make([]error, len(cfgs))
-	if len(cfgs) == 0 {
-		return stats, errs
-	}
-	var corrupt error
+	var torn error
 	if !rec.Complete() || rec.Len() != rec.Steps() {
-		corrupt = fmt.Errorf("%w: recording incomplete (%d events for %d steps)",
+		torn = fmt.Errorf("%w: recording incomplete (%d events for %d steps)",
 			ErrCorruptTrace, rec.Len(), rec.Steps())
 	}
-	engines := make([]*engine, len(cfgs))
-	hs := make([]trace.Handler, 0, len(cfgs))
-	limits := make([]int64, 0, len(cfgs))
-	fed := make([]int, 0, len(cfgs)) // bank position -> cfgs index
-	limited := make([]bool, len(cfgs))
-	for i, cfg := range cfgs {
-		if err := cfg.Validate(); err != nil {
-			errs[i] = err
-			continue
-		}
-		if corrupt != nil {
-			errs[i] = corrupt
-			continue
-		}
-		// No cancel hook: in a bank, one engine's failure must not abort the
-		// siblings' pass. The broadcast replayer sheds the dead engine via
-		// Quit instead, and Event is a no-op once failure is set.
-		e := newEngine(lp, cfg)
-		engines[i] = e
-		feedN := rec.Len()
-		if cfg.StepLimit > 0 && feedN > cfg.StepLimit {
-			feedN = cfg.StepLimit
-			limited[i] = true
-		}
-		hs = append(hs, e)
-		limits = append(limits, feedN)
-		fed = append(fed, i)
-	}
-	if len(hs) == 0 {
-		return stats, errs
-	}
-	var mr trace.MultiReplayer
-	rerr := mr.Replay(ctx, rec, hs, limits)
-	defer func() {
-		for _, i := range fed {
-			engines[i].releaseBuf()
-		}
-	}()
-	for _, i := range fed {
-		e := engines[i]
-		// Mirror RunRecordedContext's precedence: an engine abort outranks
-		// the pass error, which outranks the per-variant step limit.
-		if e.failure != nil {
-			errs[i] = e.failure
-			continue
-		}
-		if rerr != nil {
-			errs[i] = rerr
-			continue
-		}
-		if limited[i] {
-			errs[i] = interp.ErrStepLimit
-			continue
-		}
-		e.finish()
-		if e.failure != nil {
-			errs[i] = e.failure
-			continue
-		}
-		e.stats.Instrs = rec.Steps()
-		stats[i] = e.stats
-	}
-	return stats, errs
-}
-
-func (m *Machine) RunRecordedContext(ctx context.Context, rec *trace.Recording) (*RunStats, error) {
-	if err := m.cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if !rec.Complete() || rec.Len() != rec.Steps() {
-		return nil, fmt.Errorf("%w: recording incomplete (%d events for %d steps)",
-			ErrCorruptTrace, rec.Len(), rec.Steps())
-	}
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	e := newEngine(m.lp, m.cfg)
-	defer e.releaseBuf()
-	e.cancel = cancel
-	var h trace.Handler = e
-	if m.mw != nil {
-		h = m.mw(e)
-	}
-	feed := rec.Len()
-	limited := false
-	if m.cfg.StepLimit > 0 && feed > m.cfg.StepLimit {
-		feed = m.cfg.StepLimit
-		limited = true
-	}
-	var rp trace.Replayer
-	rerr := rp.Replay(ctx, rec, h, feed)
-	if e.failure != nil {
-		// Mirror RunContext: an engine abort (cycle budget, corrupt event)
-		// outranks the producer's view of the resulting cancellation.
-		return nil, e.failure
-	}
-	if rerr != nil {
-		return nil, rerr
-	}
-	if limited {
-		return nil, interp.ErrStepLimit
-	}
-	e.finish()
-	if e.failure != nil {
-		return nil, e.failure
-	}
-	e.stats.Instrs = rec.Steps()
-	return e.stats, nil
+	return runBank(ctx, lp, cfgs, torn, func(ctx context.Context, hs []trace.Handler, limits []int64) (int64, error) {
+		var mr trace.MultiReplayer
+		return rec.Steps(), mr.Replay(ctx, rec, hs, limits)
+	})
 }

@@ -1,16 +1,15 @@
 package arch
 
-// Tests for the record-once/replay-many path: RunRecorded must be
-// bit-identical to the fused interpret-and-simulate Run for every machine
-// configuration, and corrupt recordings must fail with ErrCorruptTrace
-// instead of panicking.
+// Tests for the record-once/replay-many path: a recording replayed into an
+// engine bank (RunRecordedMulti) must be bit-identical to the live
+// interpret-and-simulate Run for every machine configuration, and corrupt
+// recordings must fail with ErrCorruptTrace instead of panicking.
 
 import (
 	"context"
 	"errors"
 	"fmt"
 	"reflect"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/compiler"
@@ -64,6 +63,12 @@ func replayVariants() map[string]Config {
 	return vs
 }
 
+// replayOne replays rec under one configuration: a bank of one.
+func replayOne(lp *interp.Program, rec *trace.Recording, cfg Config) (*RunStats, error) {
+	stats, errs := RunRecordedMulti(context.Background(), lp, rec, []Config{cfg})
+	return stats[0], errs[0]
+}
+
 func TestRunRecordedMatchesRun(t *testing.T) {
 	lp := compileParallelLoop(t, 400, 14)
 	rec, err := RecordTrace(context.Background(), lp, 0)
@@ -79,9 +84,9 @@ func TestRunRecordedMatchesRun(t *testing.T) {
 			if err != nil {
 				t.Fatalf("fused Run: %v", err)
 			}
-			got, err := NewMachine(lp, cfg).RunRecorded(rec)
+			got, err := replayOne(lp, rec, cfg)
 			if err != nil {
-				t.Fatalf("RunRecorded: %v", err)
+				t.Fatalf("replay: %v", err)
 			}
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("replayed stats diverge from fused run:\n got %+v\nwant %+v", got, want)
@@ -93,7 +98,7 @@ func TestRunRecordedMatchesRun(t *testing.T) {
 func TestRunRecordedCorrupt(t *testing.T) {
 	lp := compileParallelLoop(t, 100, 6)
 	t.Run("nil", func(t *testing.T) {
-		if _, err := NewMachine(lp, DefaultConfig()).RunRecorded(nil); !errors.Is(err, ErrCorruptTrace) {
+		if _, err := replayOne(lp, nil, DefaultConfig()); !errors.Is(err, ErrCorruptTrace) {
 			t.Fatalf("err = %v; want ErrCorruptTrace", err)
 		}
 	})
@@ -103,7 +108,7 @@ func TestRunRecordedCorrupt(t *testing.T) {
 			t.Fatal(err)
 		}
 		rec.Truncate(rec.Len() / 2)
-		if _, err := NewMachine(lp, DefaultConfig()).RunRecorded(rec); !errors.Is(err, ErrCorruptTrace) {
+		if _, err := replayOne(lp, rec, DefaultConfig()); !errors.Is(err, ErrCorruptTrace) {
 			t.Fatalf("err = %v; want ErrCorruptTrace", err)
 		}
 	})
@@ -111,7 +116,7 @@ func TestRunRecordedCorrupt(t *testing.T) {
 		r := trace.NewRecorder(nil)
 		r.Event(&trace.Event{Func: int32(lp.NumFuncs()) + 7, ID: 0})
 		rec := r.Finalize(1)
-		if _, err := NewMachine(lp, DefaultConfig()).RunRecorded(rec); !errors.Is(err, ErrCorruptTrace) {
+		if _, err := replayOne(lp, rec, DefaultConfig()); !errors.Is(err, ErrCorruptTrace) {
 			t.Fatalf("err = %v; want ErrCorruptTrace", err)
 		}
 	})
@@ -126,7 +131,7 @@ func TestRunRecordedStepLimit(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.StepLimit = rec.Len() / 2
 	fusedStats, fusedErr := NewMachine(lp, cfg).Run()
-	replayStats, replayErr := NewMachine(lp, cfg).RunRecorded(rec)
+	replayStats, replayErr := replayOne(lp, rec, cfg)
 	if !errors.Is(fusedErr, interp.ErrStepLimit) || !errors.Is(replayErr, interp.ErrStepLimit) {
 		t.Fatalf("fused err = %v, replay err = %v; want interp.ErrStepLimit from both", fusedErr, replayErr)
 	}
@@ -148,70 +153,9 @@ func TestRunRecordedCycleLimit(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.CycleLimit = 50
 	_, fusedErr := NewMachine(lp, cfg).Run()
-	_, replayErr := NewMachine(lp, cfg).RunRecorded(rec)
+	_, replayErr := replayOne(lp, rec, cfg)
 	if !errors.Is(fusedErr, ErrCycleLimit) || !errors.Is(replayErr, ErrCycleLimit) {
 		t.Fatalf("fused err = %v, replay err = %v; want ErrCycleLimit from both", fusedErr, replayErr)
-	}
-}
-
-// TestRunRecordedMiddleware locks in that trace middleware composes with
-// replay unchanged: an observing middleware sees the same stream in both
-// modes, and a corrupting one fails both modes identically.
-func TestRunRecordedMiddleware(t *testing.T) {
-	lp := compileParallelLoop(t, 200, 8)
-	rec, err := RecordTrace(context.Background(), lp, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	counting := func(n *atomic.Int64) func(trace.Handler) trace.Handler {
-		return func(next trace.Handler) trace.Handler {
-			return trace.HandlerFunc(func(ev *trace.Event) {
-				n.Add(1)
-				next.Event(ev)
-			})
-		}
-	}
-	var fusedSeen, replaySeen atomic.Int64
-	mf := NewMachine(lp, DefaultConfig())
-	mf.SetTraceMiddleware(counting(&fusedSeen))
-	want, err := mf.Run()
-	if err != nil {
-		t.Fatalf("fused Run: %v", err)
-	}
-	mr := NewMachine(lp, DefaultConfig())
-	mr.SetTraceMiddleware(counting(&replaySeen))
-	got, err := mr.RunRecorded(rec)
-	if err != nil {
-		t.Fatalf("RunRecorded: %v", err)
-	}
-	if fusedSeen.Load() != replaySeen.Load() {
-		t.Fatalf("middleware saw %d fused events vs %d replayed", fusedSeen.Load(), replaySeen.Load())
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("middleware-wrapped replay diverges from fused run")
-	}
-
-	corrupting := func(next trace.Handler) trace.Handler {
-		var n int64
-		return trace.HandlerFunc(func(ev *trace.Event) {
-			n++
-			if n == 100 {
-				cp := *ev
-				cp.Func = 1 << 20
-				next.Event(&cp)
-				return
-			}
-			next.Event(ev)
-		})
-	}
-	mf2 := NewMachine(lp, DefaultConfig())
-	mf2.SetTraceMiddleware(corrupting)
-	_, fusedErr := mf2.Run()
-	mr2 := NewMachine(lp, DefaultConfig())
-	mr2.SetTraceMiddleware(corrupting)
-	_, replayErr := mr2.RunRecorded(rec)
-	if !errors.Is(fusedErr, ErrCorruptTrace) || !errors.Is(replayErr, ErrCorruptTrace) {
-		t.Fatalf("fused err = %v, replay err = %v; want ErrCorruptTrace from both", fusedErr, replayErr)
 	}
 }
 
@@ -229,7 +173,7 @@ func multiVariants() []Config {
 
 // TestRunRecordedMultiMatchesSingle locks in the broadcast contract at the
 // engine level: every variant of a RunRecordedMulti bank returns exactly the
-// stats its own RunRecordedContext would have.
+// stats of its own live run.
 func TestRunRecordedMultiMatchesSingle(t *testing.T) {
 	lp := compileParallelLoop(t, 300, 10)
 	rec, err := RecordTrace(context.Background(), lp, 0)
@@ -242,19 +186,19 @@ func TestRunRecordedMultiMatchesSingle(t *testing.T) {
 		if errs[i] != nil {
 			t.Fatalf("variant %d: %v", i, errs[i])
 		}
-		want, err := NewMachine(lp, cfg).RunRecorded(rec)
+		want, err := NewMachine(lp, cfg).Run()
 		if err != nil {
-			t.Fatalf("single replay %d: %v", i, err)
+			t.Fatalf("live run %d: %v", i, err)
 		}
 		if !reflect.DeepEqual(stats[i], want) {
-			t.Fatalf("variant %d diverges from its own replay:\n got %+v\nwant %+v", i, stats[i], want)
+			t.Fatalf("variant %d diverges from its own live run:\n got %+v\nwant %+v", i, stats[i], want)
 		}
 	}
 }
 
 // TestRunRecordedMultiBudgetIsolation starves one variant's cycle budget:
 // it must fail with ErrCycleLimit while every sibling stays bit-identical
-// to a solo replay.
+// to its live run.
 func TestRunRecordedMultiBudgetIsolation(t *testing.T) {
 	lp := compileParallelLoop(t, 300, 10)
 	rec, err := RecordTrace(context.Background(), lp, 0)
@@ -278,9 +222,9 @@ func TestRunRecordedMultiBudgetIsolation(t *testing.T) {
 		if errs[i] != nil {
 			t.Fatalf("sibling %d: %v", i, errs[i])
 		}
-		want, err := NewMachine(lp, cfg).RunRecorded(rec)
+		want, err := NewMachine(lp, cfg).Run()
 		if err != nil {
-			t.Fatalf("single replay %d: %v", i, err)
+			t.Fatalf("live run %d: %v", i, err)
 		}
 		if !reflect.DeepEqual(stats[i], want) {
 			t.Fatalf("sibling %d perturbed by the starved variant", i)
@@ -289,7 +233,7 @@ func TestRunRecordedMultiBudgetIsolation(t *testing.T) {
 }
 
 // TestRunRecordedMultiStepLimit gives one variant a private step limit: it
-// alone reports interp.ErrStepLimit, exactly like its solo replay, and the
+// alone reports interp.ErrStepLimit, exactly like its live run, and the
 // unlimited siblings still see the full trace.
 func TestRunRecordedMultiStepLimit(t *testing.T) {
 	lp := compileParallelLoop(t, 200, 8)
@@ -314,9 +258,9 @@ func TestRunRecordedMultiStepLimit(t *testing.T) {
 		if errs[i] != nil {
 			t.Fatalf("sibling %d: %v", i, errs[i])
 		}
-		want, err := NewMachine(lp, cfg).RunRecorded(rec)
+		want, err := NewMachine(lp, cfg).Run()
 		if err != nil {
-			t.Fatalf("single replay %d: %v", i, err)
+			t.Fatalf("live run %d: %v", i, err)
 		}
 		if !reflect.DeepEqual(stats[i], want) {
 			t.Fatalf("sibling %d perturbed by the step-limited variant", i)
@@ -392,7 +336,7 @@ func TestRunRecordedMultiCorrupt(t *testing.T) {
 			if errs[i] != nil {
 				t.Fatalf("sibling %d failed alongside the invalid config: %v", i, errs[i])
 			}
-			want, err := NewMachine(lp, bank[i]).RunRecorded(rec)
+			want, err := NewMachine(lp, bank[i]).Run()
 			if err != nil {
 				t.Fatal(err)
 			}

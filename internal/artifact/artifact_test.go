@@ -11,6 +11,15 @@ import (
 	"repro/internal/profiler"
 )
 
+// simulateOne memoizes one simulation: a batch of one.
+func simulateOne(c *Cache, p *ir.Program, cfg arch.Config, fn func() (*arch.RunStats, error)) (*arch.RunStats, error) {
+	stats, errs := c.SimulateBatch(p, []arch.Config{cfg}, func([]int) ([]*arch.RunStats, []error) {
+		st, err := fn()
+		return []*arch.RunStats{st}, []error{err}
+	})
+	return stats[0], errs[0]
+}
+
 // tinyProgram builds a minimal valid program returning imm.
 func tinyProgram(imm int64) *ir.Program {
 	b := ir.NewFuncBuilder("main", 0)
@@ -127,12 +136,12 @@ func TestCachePanicPropagatesAndIsNotCached(t *testing.T) {
 				t.Error("panic did not propagate")
 			}
 		}()
-		_, _ = c.Simulate(p, arch.DefaultConfig(), func() (*arch.RunStats, error) {
+		_, _ = simulateOne(c, p, arch.DefaultConfig(), func() (*arch.RunStats, error) {
 			panic("kaboom")
 		})
 	}()
 	// The slot must be free again and the next computation succeeds.
-	rs, err := c.Simulate(p, arch.DefaultConfig(), func() (*arch.RunStats, error) {
+	rs, err := simulateOne(c, p, arch.DefaultConfig(), func() (*arch.RunStats, error) {
 		return &arch.RunStats{Cycles: 42}, nil
 	})
 	if err != nil || rs == nil || rs.Cycles != 42 {
@@ -150,7 +159,7 @@ func TestCacheSingleFlight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			rs, err := c.Simulate(p, arch.DefaultConfig(), func() (*arch.RunStats, error) {
+			rs, err := simulateOne(c, p, arch.DefaultConfig(), func() (*arch.RunStats, error) {
 				computes.Add(1)
 				return &arch.RunStats{Cycles: 7}, nil
 			})
@@ -183,10 +192,10 @@ func TestSimulateSharesCanonicalBaselines(t *testing.T) {
 	b := arch.BaselineConfig()
 	b.SRBSize = 16
 	b.Recovery = arch.RecoverySquash
-	if _, err := c.Simulate(p, a, run); err != nil {
+	if _, err := simulateOne(c, p, a, run); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Simulate(p, b, run); err != nil {
+	if _, err := simulateOne(c, p, b, run); err != nil {
 		t.Fatal(err)
 	}
 	if calls != 1 {
@@ -196,10 +205,10 @@ func TestSimulateSharesCanonicalBaselines(t *testing.T) {
 	sa := arch.DefaultConfig()
 	sb := arch.DefaultConfig()
 	sb.SRBSize = 16
-	if _, err := c.Simulate(p, sa, run); err != nil {
+	if _, err := simulateOne(c, p, sa, run); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Simulate(p, sb, run); err != nil {
+	if _, err := simulateOne(c, p, sb, run); err != nil {
 		t.Fatal(err)
 	}
 	if calls != 3 {
@@ -316,7 +325,7 @@ func TestBoundedCacheSingleFlightUnderBound(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, err := c.Simulate(p, arch.DefaultConfig(), func() (*arch.RunStats, error) {
+			_, err := simulateOne(c, p, arch.DefaultConfig(), func() (*arch.RunStats, error) {
 				computes.Add(1)
 				return &arch.RunStats{Cycles: 11}, nil
 			})

@@ -41,15 +41,18 @@ func CompileKey(req client.CompileRequest) string {
 	return Key(service.KindCompile, req.Benchmark, fmt.Sprint(scaleOf(req.Scale)))
 }
 
-// SimulateKey is the store key of a simulate request.
+// SimulateKey is the store key of a simulate request: every field that
+// shapes the simulated machine, and none of the budgets.
 func SimulateKey(req client.SimulateRequest) string {
 	return Key(service.KindSimulate, req.Benchmark, fmt.Sprint(scaleOf(req.Scale)),
-		req.Recovery, req.RegCheck, fmt.Sprint(req.SRB))
+		req.Recovery, req.RegCheck, fmt.Sprint(req.SRB),
+		fmt.Sprint(req.Cores), req.Sched, fmt.Sprint(req.Stride), req.LiveIn)
 }
 
-// SweepKey is the store key of a sweep request.
+// SweepKey is the store key of a sweep request. Cores sets the machine of
+// the sched and livein families.
 func SweepKey(req client.SweepRequest) string {
-	parts := []string{req.Benchmark, fmt.Sprint(scaleOf(req.Scale)), req.Sweep}
+	parts := []string{req.Benchmark, fmt.Sprint(scaleOf(req.Scale)), req.Sweep, fmt.Sprint(req.Cores)}
 	for _, p := range req.Points {
 		parts = append(parts, fmt.Sprint(p))
 	}

@@ -338,13 +338,46 @@ func TestPipelineReadThroughKeysOnResultFields(t *testing.T) {
 		t.Fatalf("SRB change did not recompute: %d", cp.simulates.Load())
 	}
 
+	// Every other machine field of the request is result-determining too.
+	for _, tc := range []struct {
+		field string
+		mut   func(*client.SimulateRequest)
+	}{
+		{"Cores", func(r *client.SimulateRequest) { r.Cores = 4 }},
+		{"Sched", func(r *client.SimulateRequest) { r.Sched = "eager" }},
+		{"Stride", func(r *client.SimulateRequest) { r.Stride = 2 }},
+		{"LiveIn", func(r *client.SimulateRequest) { r.LiveIn = "slice" }},
+	} {
+		mreq := req
+		tc.mut(&mreq)
+		before := cp.simulates.Load()
+		if _, err := p.Simulate(ctx, mreq, guard.Budget{}); err != nil {
+			t.Fatal(err)
+		}
+		if cp.simulates.Load() != before+1 {
+			t.Errorf("simulate %s change was served from the store", tc.field)
+		}
+	}
+	// Cores sets the machine of the sched and livein sweep families.
+	for _, cores := range []int{2, 4} {
+		before := cp.sweeps.Load()
+		sweep := client.SweepRequest{Benchmark: "parser", Sweep: "livein", Cores: cores}
+		if _, err := p.Sweep(ctx, sweep, guard.Budget{}); err != nil {
+			t.Fatal(err)
+		}
+		if cp.sweeps.Load() != before+1 {
+			t.Errorf("sweep cores=%d was served from the store", cores)
+		}
+	}
+	base := cp.simulates.Load()
+
 	// Budgets only bound execution; they must not fragment the store.
 	budgeted := req
 	budgeted.Cycles = 999999
 	if _, err := p.Simulate(ctx, budgeted, guard.Budget{Cycles: 999999}); err != nil {
 		t.Fatal(err)
 	}
-	if cp.simulates.Load() != 2 {
+	if cp.simulates.Load() != base {
 		t.Fatalf("budget fields leaked into the store key: %d computes", cp.simulates.Load())
 	}
 

@@ -18,7 +18,7 @@ import (
 func TestStepLimitThroughRunBenchmark(t *testing.T) {
 	cfg := arch.DefaultConfig()
 	cfg.StepLimit = 100
-	_, err := RunBenchmark("parser", 1, cfg)
+	_, err := RunBenchmarkCached("parser", 1, cfg, nil)
 	if err == nil {
 		t.Fatal("expected step-limit error")
 	}
@@ -148,22 +148,24 @@ func TestStageDeadline(t *testing.T) {
 	}
 }
 
-// TestRunAllPartialResults: the legacy RunAll entry point preserves
-// completed runs alongside the first failure.
+// TestRunAllPartialResults: a failing suite still reports a full-length
+// run slice, with every failure recorded as a budget exhaustion.
 func TestRunAllPartialResults(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full evaluation")
 	}
 	cfg := arch.DefaultConfig()
 	cfg.StepLimit = 100 // every benchmark exceeds this
-	runs, err := RunAll(1, cfg)
-	if err == nil {
-		t.Fatal("expected failure")
+	rep := RunAllGuarded(context.Background(), 1, cfg, GuardOptions{})
+	if len(rep.Failures) != len(bench.Names()) {
+		t.Fatalf("failures = %d, want every benchmark", len(rep.Failures))
 	}
-	if !guard.Exceeded(err) {
-		t.Fatalf("err = %v, want budget exhaustion", err)
+	for _, se := range rep.Failures {
+		if !guard.Exceeded(se) {
+			t.Fatalf("err = %v, want budget exhaustion", se)
+		}
 	}
-	if len(runs) != len(bench.Names()) {
-		t.Fatalf("runs = %d, want full-length slice", len(runs))
+	if len(rep.Runs) != len(bench.Names()) {
+		t.Fatalf("runs = %d, want full-length slice", len(rep.Runs))
 	}
 }

@@ -67,40 +67,13 @@ func (r *BenchRun) Speedup() float64 {
 	return float64(r.Baseline.Cycles) / float64(r.SPT.Cycles)
 }
 
-// RunBenchmark evaluates one benchmark at the given scale under the given
-// machine configuration.
-func RunBenchmark(name string, scale int, cfg arch.Config) (*BenchRun, error) {
-	return RunBenchmarkCached(name, scale, cfg, nil)
-}
-
-// RunBenchmarkCached is RunBenchmark through an artifact cache: the
-// generated program, its compilation, and both simulations are memoized so
-// sweeps revisiting the same point reuse them. A nil cache computes
-// everything directly.
+// RunBenchmarkCached evaluates one benchmark at the given scale under the
+// given machine configuration, through an artifact cache: the generated
+// program, its compilation, its trace recordings and both simulations are
+// memoized so sweeps revisiting the same point reuse them. A nil cache
+// computes everything directly on the live interpreter feed.
 func RunBenchmarkCached(name string, scale int, cfg arch.Config, cache *artifact.Cache) (*BenchRun, error) {
-	orig, err := benchProgram(cache, name, scale)
-	if err != nil {
-		return nil, err
-	}
-	cres, err := compileBench(cache, name, orig, func(p *ir.Program, o compiler.Options) (*compiler.Result, error) {
-		return compiler.Compile(p, o)
-	})
-	if err != nil {
-		return nil, fmt.Errorf("harness: %s: %w", name, err)
-	}
-	base, err := cache.Simulate(orig, baselineOf(cfg), func() (*arch.RunStats, error) {
-		return simulateRecorded(context.Background(), cache, nil, orig, baselineOf(cfg))
-	})
-	if err != nil {
-		return nil, fmt.Errorf("harness: %s baseline: %w", name, err)
-	}
-	spt, err := cache.Simulate(cres.Program, cfg, func() (*arch.RunStats, error) {
-		return simulateRecorded(context.Background(), cache, nil, cres.Program, cfg)
-	})
-	if err != nil {
-		return nil, fmt.Errorf("harness: %s spt: %w", name, err)
-	}
-	return &BenchRun{Name: name, Compile: cres, Baseline: base, SPT: spt}, nil
+	return RunBenchmarkGuarded(context.Background(), name, scale, cfg, GuardOptions{Artifacts: cache, RecordTraces: true})
 }
 
 // CompileBenchmarkCached builds and SPT-compiles one benchmark through an
@@ -144,41 +117,49 @@ func baselineOf(cfg arch.Config) arch.Config {
 	return cfg
 }
 
-func simulateContext(ctx context.Context, p *ir.Program, cfg arch.Config) (*arch.RunStats, error) {
-	lp, err := interp.Load(p)
-	if err != nil {
-		return nil, err
-	}
-	return arch.NewMachine(lp, cfg).RunContext(ctx)
-}
-
-// simulateRecorded is the record-once/replay-many simulation path: the
-// program's architectural trace is captured once (memoized in the cache
-// under the program fingerprint and step limit) and replayed into a fresh
-// engine per configuration. Replayed runs are bit-identical to fused runs
-// (arch.RunRecordedContext), so cached and uncached evaluations agree to
-// the bit. Without a cache a shared capture cannot outlive the call, so the
-// fused interpret-and-simulate path runs instead.
-func simulateRecorded(ctx context.Context, cache *artifact.Cache, nc *nativecap.Capturer, p *ir.Program, cfg arch.Config) (*arch.RunStats, error) {
-	if cache == nil {
-		return simulateContext(ctx, p, cfg)
+// simulate runs p under every configuration of cfgs on one engine bank.
+// With RecordTraces and a cache, the program's trace is captured once
+// (memoized under its fingerprint and step limit, which all cfgs share) and
+// a single decode pass feeds every engine (arch.RunRecordedMulti);
+// otherwise each configuration runs on the live interpreter feed. Both
+// feeds are bit-identical. Engines fail individually (validation, cycle
+// budget) without aborting their siblings.
+func simulate(ctx context.Context, opts GuardOptions, p *ir.Program, cfgs []arch.Config) ([]*arch.RunStats, []error) {
+	stats := make([]*arch.RunStats, len(cfgs))
+	errs := make([]error, len(cfgs))
+	fail := func(err error) ([]*arch.RunStats, []error) {
+		for i := range errs {
+			errs[i] = err
+		}
+		return stats, errs
 	}
 	lp, err := interp.Load(p)
 	if err != nil {
-		return nil, err
+		return fail(err)
 	}
-	rec, err := cache.Recording(p, cfg.StepLimit, func() (*trace.Recording, error) {
-		return nc.Capture(ctx, p, lp, cfg.StepLimit)
+	if !opts.RecordTraces || opts.Artifacts == nil {
+		for i, cfg := range cfgs {
+			stats[i], errs[i] = arch.NewMachine(lp, cfg).RunContext(ctx)
+		}
+		return stats, errs
+	}
+	limit := cfgs[0].StepLimit
+	rec, err := opts.Artifacts.Recording(p, limit, func() (*trace.Recording, error) {
+		return opts.Native.Capture(ctx, p, lp, limit)
 	})
 	if err != nil {
-		return nil, err
+		return fail(err)
 	}
-	return arch.NewMachine(lp, cfg).RunRecordedContext(ctx, rec)
+	if len(cfgs) > 1 {
+		broadcastPasses.Add(1)
+		broadcastVariants.Add(int64(len(cfgs)))
+	}
+	return arch.RunRecordedMulti(ctx, lp, rec, cfgs)
 }
 
-// Broadcast telemetry: decode passes shared by batched sweep variants and
-// the total engines those passes fed. Exposed process-wide (BroadcastStats)
-// so the daemon's metrics endpoint can report them.
+// Broadcast telemetry: recorded decode passes that fed two or more engines,
+// and the total engines those passes fed. Exposed process-wide
+// (BroadcastStats) so the daemon's metrics endpoint can report them.
 var (
 	broadcastPasses   atomic.Int64
 	broadcastVariants atomic.Int64
@@ -188,35 +169,6 @@ var (
 // performed and how many variant engines were fed by them.
 func BroadcastStats() (passes, batchedVariants int64) {
 	return broadcastPasses.Load(), broadcastVariants.Load()
-}
-
-// broadcastSimulate is the vectorized record-once/replay-many path: one
-// recording lookup pins the shared capture for the whole batch, and a
-// single decode pass (arch.RunRecordedMulti) fans every event out to one
-// engine per configuration. All configurations must share the recording's
-// step limit — Sweep groups variants by it. Individual engines may fail
-// (validation, cycle budget) without aborting their siblings.
-func broadcastSimulate(ctx context.Context, cache *artifact.Cache, nc *nativecap.Capturer, p *ir.Program, cfgs []arch.Config) ([]*arch.RunStats, []error) {
-	fill := func(err error) []error {
-		errs := make([]error, len(cfgs))
-		for i := range errs {
-			errs[i] = err
-		}
-		return errs
-	}
-	lp, err := interp.Load(p)
-	if err != nil {
-		return make([]*arch.RunStats, len(cfgs)), fill(err)
-	}
-	rec, err := cache.Recording(p, cfgs[0].StepLimit, func() (*trace.Recording, error) {
-		return nc.Capture(ctx, p, lp, cfgs[0].StepLimit)
-	})
-	if err != nil {
-		return make([]*arch.RunStats, len(cfgs)), fill(err)
-	}
-	broadcastPasses.Add(1)
-	broadcastVariants.Add(int64(len(cfgs)))
-	return arch.RunRecordedMulti(ctx, lp, rec, cfgs)
 }
 
 // GuardOptions configures the guarded evaluation pipeline.
@@ -234,13 +186,14 @@ type GuardOptions struct {
 	// (program, configuration) point reuse the stored result instead of
 	// recomputing it. Results are identical to an uncached run.
 	Artifacts *artifact.Cache
-	// RecordTraces routes simulations through the record-once/replay-many
-	// path: the program's architectural trace is captured into Artifacts
-	// and each configuration replays it instead of re-interpreting.
-	// Recordings are tens of MB per program, so this pays off only when
-	// several configurations share one program — Sweep always turns it on;
-	// one-shot evaluations (RunAllGuarded over distinct benchmarks) leave
-	// it off and keep the fused interpret-and-simulate path.
+	// RecordTraces feeds simulations from recordings: the program's
+	// architectural trace is captured into Artifacts and each configuration
+	// replays it instead of re-interpreting. Recordings are tens of MB per
+	// program, so this pays off only when several configurations share one
+	// program — Sweep always turns it on, and so does the daemon, whose
+	// cache outlives the request; one-shot evaluations (RunAllGuarded over
+	// distinct benchmarks) leave it off and keep the live interpreter feed.
+	// Without Artifacts the live feed runs either way.
 	RecordTraces bool
 	// Native, when non-nil, routes trace captures through compiled native
 	// modules (internal/nativecap) instead of the interpreter. The capturer
@@ -274,43 +227,51 @@ func (r *Report) Successes() []*BenchRun {
 // halved scale up to Budget.Retries times — degraded results beat no
 // results for a sweep — and a retried run records its RetriedScale.
 func RunBenchmarkGuarded(ctx context.Context, name string, scale int, cfg arch.Config, opts GuardOptions) (*BenchRun, error) {
-	if opts.Perturb != nil {
-		cfg = opts.Perturb(name, cfg)
-	}
-	cfg = opts.Budget.Apply(cfg)
-	return runGuardedEffective(ctx, name, scale, cfg, opts)
+	runs, errs := evaluate(ctx, name, scale, []arch.Config{opts.normalize(name, cfg)}, opts)
+	return runs[0], errs[0]
 }
 
-// runGuardedEffective is RunBenchmarkGuarded after config normalization:
-// cfg already has the Perturb hook and the budget applied, so retries (and
-// batched sweeps, which normalize up front to group variants) never
-// re-apply them.
-func runGuardedEffective(ctx context.Context, name string, scale int, cfg arch.Config, opts GuardOptions) (*BenchRun, error) {
-	run, err := runBenchmarkStages(ctx, name, scale, cfg, opts)
-	retried := false
-	for r := 0; err != nil && guard.Exceeded(err) && r < opts.Budget.Retries && scale > 1; r++ {
-		scale /= 2
-		retried = true
-		run, err = runBenchmarkStages(ctx, name, scale, cfg, opts)
+// normalize applies the Perturb hook, then the budget, to a configuration.
+func (o GuardOptions) normalize(name string, cfg arch.Config) arch.Config {
+	if o.Perturb != nil {
+		cfg = o.Perturb(name, cfg)
 	}
-	if err == nil && retried {
-		run.RetriedScale = scale
-	}
-	return run, err
+	return o.Budget.Apply(cfg)
 }
 
-// runBenchmarkStages is one guarded pass over the compile / baseline / SPT
-// pipeline. Each stage gets its own deadline derived from the budget, and
-// each stage's artifact is served from opts.Artifacts when present.
-func runBenchmarkStages(ctx context.Context, name string, scale int, cfg arch.Config, opts GuardOptions) (*BenchRun, error) {
+// evaluate is the one evaluation pipeline: it evaluates one benchmark under
+// a batch of normalized configurations that share a step limit (a single
+// run is a batch of one). The results are indexed like cfgs. Failures stay
+// per configuration, and a budget-exceeded one is retried alone at halved
+// scale, up to Budget.Retries times.
+func evaluate(ctx context.Context, name string, scale int, cfgs []arch.Config, opts GuardOptions) ([]*BenchRun, []error) {
+	runs, errs := evaluateOnce(ctx, name, scale, cfgs, opts)
+	for i := range cfgs {
+		sc := scale
+		for r := 0; guard.Exceeded(errs[i]) && r < opts.Budget.Retries && sc > 1; r++ {
+			sc /= 2
+			rs, es := evaluateOnce(ctx, name, sc, cfgs[i:i+1], opts)
+			runs[i], errs[i] = rs[0], es[0]
+			if errs[i] == nil {
+				runs[i].RetriedScale = sc
+			}
+		}
+	}
+	return runs, errs
+}
+
+// evaluateOnce is one guarded pass over the compile / baseline / SPT
+// pipeline. The compile stage runs once for the whole batch. Each
+// simulation stage makes one batched cache transaction
+// (artifact.Cache.SimulateBatch) whose misses one simulate call computes,
+// so configurations that canonicalize alike (most baselines) simulate once.
+// A configuration whose baseline fails skips the SPT stage. Each stage gets
+// its own deadline derived from the budget.
+func evaluateOnce(ctx context.Context, name string, scale int, cfgs []arch.Config, opts GuardOptions) ([]*BenchRun, []error) {
 	budget := opts.Budget
 	cache := opts.Artifacts
-	simulate := func(sctx context.Context, p *ir.Program, c arch.Config) (*arch.RunStats, error) {
-		if opts.RecordTraces {
-			return simulateRecorded(sctx, cache, opts.Native, p, c)
-		}
-		return simulateContext(sctx, p, c)
-	}
+	runs := make([]*BenchRun, len(cfgs))
+	errs := make([]error, len(cfgs))
 	var (
 		orig *ir.Program
 		cres *compiler.Result
@@ -330,52 +291,61 @@ func runBenchmarkStages(ctx context.Context, name string, scale int, cfg arch.Co
 		return cerr
 	})
 	if err != nil {
-		return nil, err
+		for i := range errs {
+			errs[i] = err
+		}
+		return runs, errs
 	}
-	var base *arch.RunStats
-	err = guard.Run(name, guard.StageBaseline, func() error {
-		sctx, cancel := budget.Context(ctx)
-		defer cancel()
-		var serr error
-		base, serr = cache.Simulate(orig, baselineOf(cfg), func() (*arch.RunStats, error) {
-			return simulate(sctx, orig, baselineOf(cfg))
-		})
-		return serr
-	})
-	if err != nil {
-		return nil, err
-	}
-	var spt *arch.RunStats
-	err = guard.Run(name, guard.StageSimulate, func() error {
-		sctx, cancel := budget.Context(ctx)
-		defer cancel()
-		var serr error
-		spt, serr = cache.Simulate(cres.Program, cfg, func() (*arch.RunStats, error) {
-			return simulate(sctx, cres.Program, cfg)
-		})
-		return serr
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &BenchRun{Name: name, Compile: cres, Baseline: base, SPT: spt}, nil
-}
 
-// RunAll evaluates every benchmark. The per-benchmark pipelines are
-// completely independent (each gets its own interpreter, caches and
-// predictor state), so they run concurrently — results are deterministic
-// and identical to a sequential run.
-//
-// RunAll degrades gracefully: when benchmarks fail, the returned slice
-// still carries every completed run (failed positions are nil) alongside
-// the first failure. Callers that need the full failure list use
-// RunAllGuarded.
-func RunAll(scale int, cfg arch.Config) ([]*BenchRun, error) {
-	rep := RunAllGuarded(context.Background(), scale, cfg, GuardOptions{})
-	if len(rep.Failures) > 0 {
-		return rep.Runs, rep.Failures[0]
+	// simulateStage simulates p under cfgOf(cfgs[i]) for every member i of
+	// live, storing the stats in out[i], and returns the members that
+	// succeeded; the others get their errors, attributed to the stage.
+	simulateStage := func(stage string, p *ir.Program, live []int, cfgOf func(arch.Config) arch.Config, out []*arch.RunStats) []int {
+		scfgs := make([]arch.Config, len(live))
+		for j, i := range live {
+			scfgs[j] = cfgOf(cfgs[i])
+		}
+		var stats []*arch.RunStats
+		var serrs []error
+		err := guard.Run(name, stage, func() error {
+			stats, serrs = cache.SimulateBatch(p, scfgs, func(miss []int) ([]*arch.RunStats, []error) {
+				sctx, cancel := budget.Context(ctx)
+				defer cancel()
+				mcfgs := make([]arch.Config, len(miss))
+				for j, m := range miss {
+					mcfgs[j] = scfgs[m]
+				}
+				return simulate(sctx, opts, p, mcfgs)
+			})
+			return nil
+		})
+		var ok []int
+		for j, i := range live {
+			switch {
+			case err != nil:
+				errs[i] = err
+			case serrs[j] != nil:
+				// guard.Run wraps the error as this stage's failure.
+				errs[i] = guard.Run(name, stage, func() error { return serrs[j] })
+			default:
+				out[i] = stats[j]
+				ok = append(ok, i)
+			}
+		}
+		return ok
 	}
-	return rep.Runs, nil
+	live := make([]int, len(cfgs))
+	for i := range live {
+		live[i] = i
+	}
+	base := make([]*arch.RunStats, len(cfgs))
+	spt := make([]*arch.RunStats, len(cfgs))
+	live = simulateStage(guard.StageBaseline, orig, live, baselineOf, base)
+	live = simulateStage(guard.StageSimulate, cres.Program, live, func(c arch.Config) arch.Config { return c }, spt)
+	for _, i := range live {
+		runs[i] = &BenchRun{Name: name, Compile: cres, Baseline: base[i], SPT: spt[i]}
+	}
+	return runs, errs
 }
 
 // RunAllGuarded evaluates every benchmark concurrently under the guarded
@@ -421,17 +391,13 @@ type CoveragePoint struct {
 // Fig6SizeLimits is the x-axis of Figure 6 (log-scale body-size limits).
 var Fig6SizeLimits = []float64{1, 3, 10, 30, 100, 300, 1000, 3000, 10000, 100000, 1000000}
 
-// LoopCoverage profiles one benchmark and returns its accumulative
+// LoopCoverageCached profiles one benchmark and returns its accumulative
 // coverage curve: for each size limit, the fraction of total cycles spent
 // in loops whose average body size is within the limit. Cycles are counted
 // once, at the outermost qualifying loop, so nests do not double count.
-func LoopCoverage(name string, scale int) ([]CoveragePoint, error) {
-	return LoopCoverageCached(name, scale, nil)
-}
-
-// LoopCoverageCached is LoopCoverage through an artifact cache: the raw
-// (unoptimized) program and its profile are memoized, so repeated coverage
-// queries — and anything else profiling the same program — share the work.
+// The raw (unoptimized) program and its profile are memoized in cache (nil
+// computes directly), so repeated coverage queries — and anything else
+// profiling the same program — share the work.
 func LoopCoverageCached(name string, scale int, cache *artifact.Cache) ([]CoveragePoint, error) {
 	// Figure 6 profiles the raw build: coverage is a property of the
 	// program as written, before the optimizer reshapes its loops.
@@ -649,14 +615,9 @@ type Fig1Stats struct {
 	Windows         int64
 }
 
-// Fig1Parser measures the Figure 1 loop on the default machine.
-func Fig1Parser(scale int) (Fig1Stats, error) {
-	return Fig1ParserCached(scale, nil)
-}
-
-// Fig1ParserCached is Fig1Parser through an artifact cache; the underlying
-// parser run is shared with any suite evaluation at the same scale and
-// configuration.
+// Fig1ParserCached measures the Figure 1 loop on the default machine. The
+// underlying parser run goes through cache (nil computes directly), so it
+// is shared with any suite evaluation at the same scale and configuration.
 func Fig1ParserCached(scale int, cache *artifact.Cache) (Fig1Stats, error) {
 	run, err := RunBenchmarkCached("parser", scale, arch.DefaultConfig(), cache)
 	if err != nil {
@@ -740,23 +701,21 @@ type Variant struct {
 
 // Sweep evaluates every variant of one benchmark under the guarded
 // pipeline. Variants sharing a (program, step-limit) recording are grouped
-// into one broadcast batch: the batch holds a single work-slot, performs
-// one recording lookup for all members, and a single decode pass fans every
-// trace event out to one engine per variant (arch.RunRecordedMulti).
-// Variants with a step limit nobody else shares fall back to the
-// per-variant guarded path, one work-slot each. Rows come back in variant
-// order, and with opts.Artifacts set the numbers are identical to a
-// sequential uncached run (the shared compile, baseline and
-// repeated-configuration simulations are memoized, not approximated; the
-// broadcast replay is bit-identical to per-variant replay — see
-// TestSweepDeterminism and arch's TestReplayDeterminismAcrossVariants).
+// into one batch: the batch holds a single work-slot, performs one
+// recording lookup per simulation stage, and a single decode pass fans
+// every trace event out to one engine per variant (arch.RunRecordedMulti).
+// Rows come back in variant order, and with opts.Artifacts set the numbers
+// are identical to a sequential uncached run (the shared compile, baseline
+// and repeated-configuration simulations are memoized, not approximated;
+// the broadcast replay is bit-identical to a live run — see
+// TestSweepDeterminism and TestReplayDeterminismAcrossVariants).
 //
 // Sweep degrades gracefully: a failed variant does not abort its batch
 // siblings; its row carries the error (AblationRow.Err) with Speedup zero,
 // and the joined per-variant errors are returned alongside the rows.
 func Sweep(ctx context.Context, name string, scale int, variants []Variant, opts GuardOptions) ([]AblationRow, error) {
 	// A sweep's variants share one program, so the trace capture is repaid
-	// N-fold; one-shot callers keep the default fused path (see
+	// N-fold; one-shot callers keep the default live feed (see
 	// GuardOptions.RecordTraces).
 	opts.RecordTraces = true
 	if opts.Artifacts == nil && len(variants) > 1 {
@@ -770,20 +729,14 @@ func Sweep(ctx context.Context, name string, scale int, variants []Variant, opts
 		opts.Artifacts = priv
 		defer priv.ReleaseRecordings()
 	}
-	// Normalize every variant's configuration up front (Perturb hook, then
-	// budget) — exactly what RunBenchmarkGuarded would do — so variants can
-	// be grouped by the step limit that keys their shared recording.
-	effective := make([]arch.Config, len(variants))
-	for i, v := range variants {
-		c := v.Config
-		if opts.Perturb != nil {
-			c = opts.Perturb(name, c)
-		}
-		effective[i] = opts.Budget.Apply(c)
-	}
+	// Normalize every variant's configuration up front, exactly as
+	// RunBenchmarkGuarded would, so variants can be grouped by the step
+	// limit that keys their shared recording.
 	groups := map[int64][]int{}
 	var limits []int64 // deterministic batch launch order
-	for i := range variants {
+	effective := make([]arch.Config, len(variants))
+	for i, v := range variants {
+		effective[i] = opts.normalize(name, v.Config)
 		sl := effective[i].StepLimit
 		if _, ok := groups[sl]; !ok {
 			limits = append(limits, sl)
@@ -794,20 +747,6 @@ func Sweep(ctx context.Context, name string, scale int, variants []Variant, opts
 	errs := make([]error, len(variants))
 	var wg sync.WaitGroup
 	for _, sl := range limits {
-		idxs := groups[sl]
-		if len(idxs) == 1 {
-			// Heterogeneous step limit: nothing to broadcast with, so keep
-			// the per-variant path.
-			i := idxs[0]
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				release := acquireWork()
-				defer release()
-				runs[i], errs[i] = runGuardedEffective(ctx, name, scale, effective[i], opts)
-			}(i)
-			continue
-		}
 		wg.Add(1)
 		go func(idxs []int) {
 			defer wg.Done()
@@ -815,8 +754,15 @@ func Sweep(ctx context.Context, name string, scale int, variants []Variant, opts
 			// many engines ride the shared decode pass.
 			release := acquireWork()
 			defer release()
-			sweepBatch(ctx, name, scale, idxs, effective, opts, runs, errs)
-		}(idxs)
+			cfgs := make([]arch.Config, len(idxs))
+			for j, i := range idxs {
+				cfgs[j] = effective[i]
+			}
+			rs, es := evaluate(ctx, name, scale, cfgs, opts)
+			for j, i := range idxs {
+				runs[i], errs[i] = rs[j], es[j]
+			}
+		}(groups[sl])
 	}
 	wg.Wait()
 	rows := make([]AblationRow, len(variants))
@@ -827,127 +773,6 @@ func Sweep(ctx context.Context, name string, scale int, variants []Variant, opts
 		}
 	}
 	return rows, errors.Join(errs...)
-}
-
-// sweepBatch evaluates one group of variants that share a recording. The
-// compile stage runs once; the baseline and SPT stages each make one
-// batched cache transaction (artifact.Cache.SimulateBatch), whose misses
-// are computed by a single broadcast replay. Failures stay per-variant: a
-// variant whose engine trips its cycle budget gets its error recorded while
-// its siblings finish bit-identical to a solo run, and budget-exceeded
-// variants retry individually at halved scale.
-func sweepBatch(ctx context.Context, name string, scale int, idxs []int, effective []arch.Config, opts GuardOptions, runs []*BenchRun, errs []error) {
-	budget := opts.Budget
-	cache := opts.Artifacts
-	fail := func(err error) {
-		for _, i := range idxs {
-			errs[i] = err
-		}
-	}
-
-	var (
-		orig *ir.Program
-		cres *compiler.Result
-	)
-	err := guard.Run(name, guard.StageCompile, func() error {
-		var berr error
-		orig, berr = benchProgram(cache, name, scale)
-		if berr != nil {
-			return berr
-		}
-		sctx, cancel := budget.Context(ctx)
-		defer cancel()
-		var cerr error
-		cres, cerr = compileBench(cache, name, orig, func(p *ir.Program, o compiler.Options) (*compiler.Result, error) {
-			return compiler.CompileContext(sctx, p, o)
-		})
-		return cerr
-	})
-	if err != nil {
-		fail(err)
-		return
-	}
-
-	// Baseline stage: the members' baselines canonicalize to very few
-	// distinct configurations (usually one); SimulateBatch coalesces the
-	// duplicates and one broadcast pass computes whatever is missing.
-	baseCfgs := make([]arch.Config, len(idxs))
-	for j, i := range idxs {
-		baseCfgs[j] = baselineOf(effective[i])
-	}
-	var baseStats []*arch.RunStats
-	var baseErrs []error
-	err = guard.Run(name, guard.StageBaseline, func() error {
-		baseStats, baseErrs = cache.SimulateBatch(orig, baseCfgs, func(miss []int) ([]*arch.RunStats, []error) {
-			sctx, cancel := budget.Context(ctx)
-			defer cancel()
-			mcfgs := make([]arch.Config, len(miss))
-			for j, m := range miss {
-				mcfgs[j] = baseCfgs[m]
-			}
-			return broadcastSimulate(sctx, cache, opts.Native, orig, mcfgs)
-		})
-		return nil
-	})
-	if err != nil {
-		fail(err)
-		return
-	}
-
-	// SPT stage: every variant engine rides one decode pass of the shared
-	// recording.
-	sptCfgs := make([]arch.Config, len(idxs))
-	for j, i := range idxs {
-		sptCfgs[j] = effective[i]
-	}
-	var sptStats []*arch.RunStats
-	var sptErrs []error
-	err = guard.Run(name, guard.StageSimulate, func() error {
-		sptStats, sptErrs = cache.SimulateBatch(cres.Program, sptCfgs, func(miss []int) ([]*arch.RunStats, []error) {
-			sctx, cancel := budget.Context(ctx)
-			defer cancel()
-			mcfgs := make([]arch.Config, len(miss))
-			for j, m := range miss {
-				mcfgs[j] = sptCfgs[m]
-			}
-			return broadcastSimulate(sctx, cache, opts.Native, cres.Program, mcfgs)
-		})
-		return nil
-	})
-	if err != nil {
-		fail(err)
-		return
-	}
-
-	stageErr := func(stage string, err error) error {
-		var se *guard.StageError
-		if errors.As(err, &se) && se.Benchmark == name {
-			return err
-		}
-		return &guard.StageError{Benchmark: name, Stage: stage, Err: err}
-	}
-	for j, i := range idxs {
-		switch {
-		case baseErrs[j] != nil:
-			errs[i] = stageErr(guard.StageBaseline, baseErrs[j])
-		case sptErrs[j] != nil:
-			errs[i] = stageErr(guard.StageSimulate, sptErrs[j])
-		default:
-			runs[i] = &BenchRun{Name: name, Compile: cres, Baseline: baseStats[j], SPT: sptStats[j]}
-			continue
-		}
-		// A budget-exceeded member degrades alone: retry it through the
-		// per-variant pipeline at halved scale, like RunBenchmarkGuarded.
-		sc, retried := scale, false
-		for r := 0; errs[i] != nil && guard.Exceeded(errs[i]) && r < budget.Retries && sc > 1; r++ {
-			sc /= 2
-			retried = true
-			runs[i], errs[i] = runBenchmarkStages(ctx, name, sc, effective[i], opts)
-		}
-		if errs[i] == nil && retried {
-			runs[i].RetriedScale = sc
-		}
-	}
 }
 
 // RecoveryVariants compares SRX+FC against full squash.
@@ -1064,34 +889,4 @@ func LiveInVariants(cores int) []Variant {
 // start-up, in a stable order for rendering.
 func SpecOutcomes() multispec.CounterSnapshot {
 	return multispec.Global.Snapshot()
-}
-
-// AblateRecovery compares SRX+FC against full squash.
-func AblateRecovery(name string, scale int) ([]AblationRow, error) {
-	return Sweep(context.Background(), name, scale, RecoveryVariants(), GuardOptions{})
-}
-
-// AblateRegCheck compares value-based against update-based checking.
-func AblateRegCheck(name string, scale int) ([]AblationRow, error) {
-	return Sweep(context.Background(), name, scale, RegCheckVariants(), GuardOptions{})
-}
-
-// AblateOverheads sweeps the fork and fast-commit overheads.
-func AblateOverheads(name string, scale int, cycles []int) ([]AblationRow, error) {
-	return Sweep(context.Background(), name, scale, OverheadVariants(cycles), GuardOptions{})
-}
-
-// AblateSRB sweeps the speculation-result-buffer size.
-func AblateSRB(name string, scale int, sizes []int) ([]AblationRow, error) {
-	return Sweep(context.Background(), name, scale, SRBVariants(sizes), GuardOptions{})
-}
-
-// AblateCores sweeps the CMP core count.
-func AblateCores(name string, scale int, cores []int) ([]AblationRow, error) {
-	return Sweep(context.Background(), name, scale, CoresVariants(cores), GuardOptions{})
-}
-
-// AblateSched compares scheduling policies at the given core count.
-func AblateSched(name string, scale int, cores int, strides []int) ([]AblationRow, error) {
-	return Sweep(context.Background(), name, scale, SchedVariants(cores, strides), GuardOptions{})
 }

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -9,9 +10,9 @@ import (
 
 func runBench(t *testing.T, name string, scale int) *BenchRun {
 	t.Helper()
-	r, err := RunBenchmark(name, scale, arch.DefaultConfig())
+	r, err := RunBenchmarkCached(name, scale, arch.DefaultConfig(), nil)
 	if err != nil {
-		t.Fatalf("RunBenchmark(%s): %v", name, err)
+		t.Fatalf("RunBenchmarkCached(%s, nil): %v", name, err)
 	}
 	return r
 }
@@ -48,7 +49,7 @@ func TestTable1MatchesPaper(t *testing.T) {
 
 func TestFig6CoverageShapes(t *testing.T) {
 	// Parser: substantial loop coverage, monotone accumulation, below 100%.
-	pts, err := LoopCoverage("parser", 1)
+	pts, err := LoopCoverageCached("parser", 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +64,7 @@ func TestFig6CoverageShapes(t *testing.T) {
 		t.Errorf("parser total loop coverage = %v, want 0.5..0.99", last)
 	}
 	// Vortex: almost no loop coverage (the paper's standout).
-	vpts, err := LoopCoverage("vortex", 1)
+	vpts, err := LoopCoverageCached("vortex", 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +73,7 @@ func TestFig6CoverageShapes(t *testing.T) {
 	}
 	// Gap: visible jump once the huge-body loop qualifies (Figure 6's
 	// signature), i.e. coverage at 3000 much larger than at 1000.
-	gpts, err := LoopCoverage("gap", 1)
+	gpts, err := LoopCoverageCached("gap", 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +158,7 @@ func TestAverage(t *testing.T) {
 }
 
 func TestFig1ParserHeadline(t *testing.T) {
-	st, err := Fig1Parser(1)
+	st, err := Fig1ParserCached(1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +180,7 @@ func TestFig1ParserHeadline(t *testing.T) {
 }
 
 func TestAblateRecovery(t *testing.T) {
-	rows, err := AblateRecovery("parser", 1)
+	rows, err := Sweep(context.Background(), "parser", 1, RecoveryVariants(), GuardOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +194,7 @@ func TestAblateRecovery(t *testing.T) {
 }
 
 func TestAblateRegCheck(t *testing.T) {
-	rows, err := AblateRegCheck("mcf", 1)
+	rows, err := Sweep(context.Background(), "mcf", 1, RegCheckVariants(), GuardOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +205,7 @@ func TestAblateRegCheck(t *testing.T) {
 }
 
 func TestAblateSRB(t *testing.T) {
-	rows, err := AblateSRB("parser", 1, []int{16, 1024})
+	rows, err := Sweep(context.Background(), "parser", 1, SRBVariants([]int{16, 1024}), GuardOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +215,7 @@ func TestAblateSRB(t *testing.T) {
 }
 
 func TestAblateCores(t *testing.T) {
-	rows, err := AblateCores("parser", 1, []int{2, 4, 8})
+	rows, err := Sweep(context.Background(), "parser", 1, CoresVariants([]int{2, 4, 8}), GuardOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +233,7 @@ func TestAblateCores(t *testing.T) {
 }
 
 func TestAblateSched(t *testing.T) {
-	rows, err := AblateSched("parser", 1, 4, []int{2})
+	rows, err := Sweep(context.Background(), "parser", 1, SchedVariants(4, []int{2}), GuardOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,10 +251,11 @@ func TestRunAllSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full evaluation")
 	}
-	runs, err := RunAll(1, arch.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
+	rep := RunAllGuarded(context.Background(), 1, arch.DefaultConfig(), GuardOptions{})
+	if len(rep.Failures) > 0 {
+		t.Fatal(rep.Failures[0])
 	}
+	runs := rep.Runs
 	if len(runs) != 10 {
 		t.Fatalf("runs = %d", len(runs))
 	}
@@ -275,11 +277,11 @@ func TestRunAllSmoke(t *testing.T) {
 }
 
 func TestRunBenchmarkErrors(t *testing.T) {
-	if _, err := RunBenchmark("perlbmk", 1, arch.DefaultConfig()); err == nil {
+	if _, err := RunBenchmarkCached("perlbmk", 1, arch.DefaultConfig(), nil); err == nil {
 		t.Error("excluded benchmark accepted")
 	}
-	if _, err := LoopCoverage("nosuch", 1); err == nil {
-		t.Error("unknown benchmark accepted by LoopCoverage")
+	if _, err := LoopCoverageCached("nosuch", 1, nil); err == nil {
+		t.Error("unknown benchmark accepted by LoopCoverageCached")
 	}
 }
 
@@ -297,7 +299,7 @@ func TestScaleStability(t *testing.T) {
 		{"parser", 1.08, 1.45},
 		{"mcf", 1.10, 1.55},
 	} {
-		run, err := RunBenchmark(tc.name, 2, arch.DefaultConfig())
+		run, err := RunBenchmarkCached(tc.name, 2, arch.DefaultConfig(), nil)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -308,7 +310,7 @@ func TestScaleStability(t *testing.T) {
 }
 
 func TestAblateOverheads(t *testing.T) {
-	rows, err := AblateOverheads("parser", 1, []int{1, 16})
+	rows, err := Sweep(context.Background(), "parser", 1, OverheadVariants([]int{1, 16}), GuardOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

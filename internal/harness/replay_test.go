@@ -29,7 +29,7 @@ func TestReplayDeterminismAcrossVariants(t *testing.T) {
 	for _, fam := range families {
 		for _, v := range fam.variants {
 			t.Run(fam.name+"/"+v.Label, func(t *testing.T) {
-				want, err := RunBenchmark(benchName, scale, v.Config) // fused, uncached
+				want, err := RunBenchmarkCached(benchName, scale, v.Config, nil) // fused, uncached
 				if err != nil {
 					t.Fatalf("fused: %v", err)
 				}

@@ -31,7 +31,7 @@ func TestSweepDeterminism(t *testing.T) {
 	var wantRows []AblationRow
 	wantRuns := make([]*BenchRun, len(variants))
 	for i, v := range variants {
-		run, err := RunBenchmark(name, scale, v.Config)
+		run, err := RunBenchmarkCached(name, scale, v.Config, nil)
 		if err != nil {
 			t.Fatalf("sequential %s: %v", v.Label, err)
 		}
@@ -85,17 +85,18 @@ func TestSweepDeterminism(t *testing.T) {
 	if st.RecordingMisses != 2 {
 		t.Errorf("sweep interpreted %d traces; want exactly 2 (baseline + SPT program)", st.RecordingMisses)
 	}
-	// The six same-step-limit variants form one broadcast batch, whose two
-	// stages each pin their recording once and decode it in a single shared
-	// pass: one pass feeds the (deduplicated) baseline engine, the other the
-	// four distinct SPT engines. The warm pass is answered entirely from the
-	// cache and broadcasts nothing.
+	// The six same-step-limit variants form one batch, whose two stages each
+	// pin their recording once and decode it in a single pass. Only passes
+	// that feed two or more engines count as broadcasts: the baseline pass
+	// feeds the one deduplicated baseline engine and does not count; the SPT
+	// pass feeds the four distinct SPT engines. The warm pass is answered
+	// entirely from the cache and broadcasts nothing.
 	passes, batched := BroadcastStats()
-	if got := passes - passes0; got != 2 {
-		t.Errorf("broadcast passes = %d; want 2 (one per batch stage, cold pass only)", got)
+	if got := passes - passes0; got != 1 {
+		t.Errorf("broadcast passes = %d; want 1 (the SPT stage, cold pass only)", got)
 	}
-	if got := batched - batched0; got != 5 {
-		t.Errorf("batched variants = %d; want 5 (1 baseline + 4 distinct SPT engines)", got)
+	if got := batched - batched0; got != 4 {
+		t.Errorf("batched variants = %d; want 4 (the distinct SPT engines)", got)
 	}
 }
 
@@ -145,7 +146,7 @@ func TestSweepUnknownBenchmark(t *testing.T) {
 // TestLoopCoverageCached: the cached curve matches the direct one and the
 // second query is served from the cache.
 func TestLoopCoverageCached(t *testing.T) {
-	want, err := LoopCoverage("mcf", 1)
+	want, err := LoopCoverageCached("mcf", 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

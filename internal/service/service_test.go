@@ -626,7 +626,7 @@ func TestEndToEndRealPipeline(t *testing.T) {
 // reproduce bit-identically.
 func localExpected(t *testing.T) (*client.SimulateResponse, error) {
 	t.Helper()
-	run, err := harness.RunBenchmark("parser", 1, arch.DefaultConfig())
+	run, err := harness.RunBenchmarkCached("parser", 1, arch.DefaultConfig(), nil)
 	if err != nil {
 		return nil, err
 	}

@@ -17,6 +17,7 @@
 package spt
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/arch"
@@ -163,10 +164,17 @@ func BenchmarkCompileOptions(name string) CompileOptions { return bench.Compiler
 
 // EvalBenchmark compiles and simulates one benchmark against its baseline.
 func EvalBenchmark(name string, scale int, cfg MachineConfig) (*BenchRun, error) {
-	return harness.RunBenchmark(name, scale, cfg)
+	return harness.RunBenchmarkCached(name, scale, cfg, nil)
 }
 
-// EvalAll evaluates every benchmark (the Figure 8/9 sweep).
+// EvalAll evaluates every benchmark (the Figure 8/9 sweep). The benchmarks
+// run concurrently and independently: when some fail, the returned slice
+// still carries every completed run (failed positions are nil) alongside
+// the first failure.
 func EvalAll(scale int, cfg MachineConfig) ([]*BenchRun, error) {
-	return harness.RunAll(scale, cfg)
+	rep := harness.RunAllGuarded(context.Background(), scale, cfg, harness.GuardOptions{})
+	if len(rep.Failures) > 0 {
+		return rep.Runs, rep.Failures[0]
+	}
+	return rep.Runs, nil
 }
