@@ -2,8 +2,9 @@ package main
 
 // The cluster-soak mode is the node-killing endurance run of the sharded
 // serving stack: it starts THREE sptd nodes sharing a journal root and
-// per-node tiered stores, drives durable async jobs through the
-// consistent-hash cluster client, SIGKILLs one node mid-run and leaves it
+// per-node tiered stores (n1 a bare gossip seed, the others -join it),
+// submits durable async jobs round-robin to every node — the servers
+// forward each to its ring owner — SIGKILLs one node mid-run and leaves it
 // dead — the survivors must detect the death, steal the victim's journal,
 // adopt its jobs, and every accepted job must still converge to a result
 // bit-identical to the fault-free local pipeline, with zero lost and zero
@@ -31,6 +32,7 @@ import (
 	"syscall"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/spt/client"
 )
 
@@ -47,18 +49,20 @@ const clusterSoakGossipInterval = 250 * time.Millisecond
 // clusterNode manages one member daemon of the soak cluster.
 type clusterNode struct {
 	name, addr, bin string
-	clusterSpec     string // static member list ("" when joining by gossip)
-	joinSeed        string // seed URL for the -join path
+	join            string // -join seed URL ("" starts a bare seed)
 	journalRoot     string
 	storeDir        string
 	cmd             *exec.Cmd
 	dead            bool
 }
 
+func (n *clusterNode) url() string { return "http://" + n.addr }
+
 func (n *clusterNode) start(ctx context.Context) error {
 	args := []string{
 		"-addr", n.addr,
 		"-node-id", n.name,
+		"-advertise", n.url(),
 		"-cluster-journal-root", n.journalRoot,
 		"-store-dir", n.storeDir,
 		"-gossip-interval", clusterSoakGossipInterval.String(),
@@ -71,10 +75,8 @@ func (n *clusterNode) start(ctx context.Context) error {
 		"-max-attempts", "8",
 		"-drain-timeout", "30s",
 	}
-	if n.joinSeed != "" {
-		args = append(args, "-join", n.joinSeed, "-advertise", "http://"+n.addr)
-	} else {
-		args = append(args, "-cluster", n.clusterSpec)
+	if n.join != "" {
+		args = append(args, "-join", n.join)
 	}
 	cmd := exec.Command(n.bin, args...)
 	cmd.Stderr = os.Stderr
@@ -85,7 +87,7 @@ func (n *clusterNode) start(ctx context.Context) error {
 	n.dead = false
 	deadline := time.Now().Add(30 * time.Second)
 	for time.Now().Before(deadline) && ctx.Err() == nil {
-		resp, err := http.Get("http://" + n.addr + "/healthz")
+		resp, err := http.Get(n.url() + "/readyz")
 		if err == nil {
 			resp.Body.Close()
 			if resp.StatusCode == http.StatusOK {
@@ -94,7 +96,7 @@ func (n *clusterNode) start(ctx context.Context) error {
 		}
 		time.Sleep(25 * time.Millisecond)
 	}
-	return fmt.Errorf("node %s on %s did not become healthy", n.name, n.addr)
+	return fmt.Errorf("node %s on %s did not become ready", n.name, n.addr)
 }
 
 // kill SIGKILLs the node — the failure mode the stealing protocol exists
@@ -126,7 +128,7 @@ func (n *clusterNode) stop() {
 
 // scrape fetches the node's /metrics text.
 func (n *clusterNode) scrape() (string, error) {
-	resp, err := http.Get("http://" + n.addr + "/metrics")
+	resp, err := http.Get(n.url() + "/metrics")
 	if err != nil {
 		return "", err
 	}
@@ -150,7 +152,7 @@ type soakClusterView struct {
 
 // view fetches and decodes the node's /v1/cluster membership view.
 func (n *clusterNode) view() (*soakClusterView, error) {
-	resp, err := http.Get("http://" + n.addr + "/v1/cluster")
+	resp, err := http.Get(n.url() + "/v1/cluster")
 	if err != nil {
 		return nil, err
 	}
@@ -185,7 +187,7 @@ func (v *soakClusterView) gossipState(name string) string {
 // setBlocked drives the node's partition test hook against one peer.
 func (n *clusterNode) setBlocked(peer string, inbound, outbound bool) error {
 	body := fmt.Sprintf(`{"peer":%q,"inbound":%v,"outbound":%v}`, peer, inbound, outbound)
-	resp, err := http.Post("http://"+n.addr+"/v1/gossip/block", "application/json", strings.NewReader(body))
+	resp, err := http.Post(n.url()+"/v1/gossip/block", "application/json", strings.NewReader(body))
 	if err != nil {
 		return err
 	}
@@ -212,13 +214,99 @@ func snapshotMetrics(nodes []*clusterNode, workDir, phase string) {
 	}
 }
 
+// waitAlive polls every node's /v1/cluster until each lists all of nodes
+// alive: gossip has converged and every ring agrees on the owners.
+func waitAlive(nodes []*clusterNode, timeout time.Duration) error {
+	deadline := time.Now().Add(timeout)
+	for {
+		converged := true
+		for _, n := range nodes {
+			v, err := n.view()
+			if err != nil {
+				return fmt.Errorf("view %s: %w", n.name, err)
+			}
+			for _, peer := range nodes {
+				if v.gossipState(peer.name) != "alive" {
+					converged = false
+				}
+			}
+		}
+		if converged {
+			return nil
+		}
+		if time.Now().After(deadline) {
+			return fmt.Errorf("membership of %d nodes not all-alive after %v", len(nodes), timeout)
+		}
+		time.Sleep(25 * time.Millisecond)
+	}
+}
+
+// nodeClient is one node's resilient client. The soak submits round-robin
+// through them and polls by scattering over all of them, the killed node
+// included, so its failing polls retry and open its breaker.
+type nodeClient struct {
+	name string
+	r    *client.Resilient
+}
+
+func nodeClients(nodes []*clusterNode, seed int64) []nodeClient {
+	out := make([]nodeClient, len(nodes))
+	for i, n := range nodes {
+		out[i] = nodeClient{n.name, client.NewResilient(client.New(n.url(), nil), client.ResilientConfig{
+			MaxAttempts: 6,
+			Seed:        seed + int64(i),
+			Backoff:     client.Backoff{Base: 20 * time.Millisecond, Max: 250 * time.Millisecond},
+		})}
+	}
+	return out
+}
+
+// jobHolder is one node that knows a job, with the status it reported.
+type jobHolder struct {
+	node string
+	js   *client.JobStatus
+}
+
+// findJob asks every node for job id. A node that is down, or answers 404
+// because another survivor adopted the job, is simply not a holder; the
+// per-node deadline lets an open breaker fail fast instead of waiting out
+// its cool-down.
+func findJob(ctx context.Context, ncs []nodeClient, id string) []jobHolder {
+	var holders []jobHolder
+	for _, nc := range ncs {
+		cctx, cancel := context.WithTimeout(ctx, time.Second)
+		js, err := nc.r.Job(cctx, id)
+		cancel()
+		if err == nil {
+			holders = append(holders, jobHolder{nc.name, js})
+		}
+	}
+	return holders
+}
+
+// waitJob polls findJob until some node reports the job done, riding out
+// the kill, the journal steal and the adoption.
+func waitJob(ctx context.Context, ncs []nodeClient, id string) (*client.JobStatus, error) {
+	for {
+		for _, h := range findJob(ctx, ncs, id) {
+			if h.js.State == client.StateDone {
+				return h.js, nil
+			}
+		}
+		select {
+		case <-ctx.Done():
+			return nil, fmt.Errorf("job %s did not converge: %w", id, ctx.Err())
+		case <-time.After(40 * time.Millisecond):
+		}
+	}
+}
+
 // clusterSoakJob is one unit of soak work with its precomputed expectation.
 type clusterSoakJob struct {
 	req  client.SimulateRequest
 	want *client.SimulateResponse
-	key  string // ring route key
 	id   string
-	node string // node that accepted the submission
+	node string // node that accepted the job: the ring owner that stamped its id
 }
 
 // runClusterSoak is the -cluster-soak entry point; returns the exit code.
@@ -257,7 +345,7 @@ func runClusterSoak(bin string, scale, requests int, workDir string) int {
 			SRB:        soakSRB(i),
 			JobRequest: client.JobRequest{Async: true},
 		}
-		jobs[i] = &clusterSoakJob{req: req, key: client.RouteKey(req.Benchmark, req.Scale)}
+		jobs[i] = &clusterSoakJob{req: req}
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
@@ -271,38 +359,24 @@ func runClusterSoak(bin string, scale, requests int, workDir string) int {
 		}
 	}
 
-	// Three nodes, one shared journal root, per-node store dirs.
-	names := []string{"n1", "n2", "n3"}
-	members := make(map[string]string, len(names))
-	nodes := make([]*clusterNode, len(names))
+	// Three nodes, one shared journal root, per-node store dirs: n1 starts
+	// as a bare seed and the others -join it.
+	nodes := make([]*clusterNode, 3)
 	journalRoot := filepath.Join(workDir, "journals")
-	spec := ""
-	for i, name := range names {
+	for i := range nodes {
 		addr, err := soakFreeAddr()
 		if err != nil {
 			return fail("listen: %v", err)
 		}
-		members[name] = "http://" + addr
-		if spec != "" {
-			spec += ","
-		}
-		spec += name + "=http://" + addr
+		name := fmt.Sprintf("n%d", i+1)
 		nodes[i] = &clusterNode{
 			name: name, addr: addr, bin: bin,
 			journalRoot: journalRoot,
 			storeDir:    filepath.Join(workDir, "store", name),
 		}
-	}
-	for _, n := range nodes {
-		n.clusterSpec = spec
-	}
-	startAll := func() error {
-		for _, n := range nodes {
-			if err := n.start(ctx); err != nil {
-				return err
-			}
+		if i > 0 {
+			nodes[i].join = nodes[0].url()
 		}
-		return nil
 	}
 	stopAll := func() {
 		for _, n := range nodes {
@@ -311,21 +385,24 @@ func runClusterSoak(bin string, scale, requests int, workDir string) int {
 	}
 
 	fmt.Fprintf(os.Stderr, "cluster-soak: phase kill: 3 nodes, %d jobs, SIGKILL mid-run\n", requests)
-	if err := startAll(); err != nil {
-		return fail("%v", err)
+	for _, n := range nodes {
+		if err := n.start(ctx); err != nil {
+			stopAll()
+			return fail("%v", err)
+		}
 	}
-	cl := client.NewCluster(members, client.ClusterConfig{
-		Resilient: client.ResilientConfig{
-			MaxAttempts: 6,
-			Seed:        1,
-			Backoff:     client.Backoff{Base: 20 * time.Millisecond, Max: 250 * time.Millisecond},
-		},
-	})
+	if err := waitAlive(nodes, 20*time.Second); err != nil {
+		snapshotMetrics(nodes, workDir, "bootstrap")
+		stopAll()
+		return fail("bootstrap: %v", err)
+	}
+	ncs := nodeClients(nodes, 1)
 
 	killBegin := time.Now()
 	latencies := make([]time.Duration, requests)
+	accepted := map[string]int{}
 	for i, job := range jobs {
-		sub, node, err := cl.Simulate(ctx, job.req)
+		sub, err := ncs[i%len(ncs)].r.Simulate(ctx, job.req)
 		if err != nil {
 			stopAll()
 			return fail("submit job %d: %v", i, err)
@@ -334,19 +411,17 @@ func runClusterSoak(bin string, scale, requests int, workDir string) int {
 			stopAll()
 			return fail("submit job %d: no id", i)
 		}
-		job.id, job.node = sub.JobID, node
-	}
-
-	// Pick the victim: the node that accepted the most submissions — the
-	// one whose journal the survivors must steal.
-	accepted := map[string]int{}
-	for _, job := range jobs {
+		job.id = sub.JobID
+		job.node, _, _ = strings.Cut(sub.JobID, "-j")
 		accepted[job.node]++
 	}
-	victim := nodes[0]
-	for _, n := range nodes {
+
+	// Pick the victim: the node that accepted the most jobs — the one
+	// whose journal the survivors must steal.
+	victim, victimClient := nodes[0], ncs[0].r
+	for i, n := range nodes {
 		if accepted[n.name] > accepted[victim.name] {
-			victim = n
+			victim, victimClient = n, ncs[i].r
 		}
 	}
 
@@ -358,8 +433,7 @@ func runClusterSoak(bin string, scale, requests int, workDir string) int {
 		wg.Add(1)
 		go func(i int, job *clusterSoakJob) {
 			defer wg.Done()
-			js, err := cl.WaitAnywhere(ctx, job.key, job.id, 40*time.Millisecond)
-			finished[i], waitErrs[i] = js, err
+			finished[i], waitErrs[i] = waitJob(ctx, ncs, job.id)
 			latencies[i] = time.Since(submitted)
 			done.Add(1)
 		}(i, job)
@@ -408,20 +482,15 @@ func runClusterSoak(bin string, scale, requests int, workDir string) int {
 	// pollable on several nodes (the adopter serves the dead node's ids);
 	// every holder must report byte-identical results.
 	for _, job := range jobs {
-		js, holders, err := cl.JobAnywhere(ctx, job.key, job.id)
-		if err != nil {
+		holders := findJob(ctx, ncs, job.id)
+		if len(holders) == 0 {
 			stopAll()
-			return fail("job %s vanished after convergence: %v", job.id, err)
+			return fail("job %s vanished after convergence", job.id)
 		}
-		first := js.Result
-		for _, holder := range holders[1:] {
-			hjs, err := cl.Node(holder).Job(ctx, job.id)
-			if err != nil {
-				continue
-			}
-			if !bytes.Equal(first, hjs.Result) {
+		for _, h := range holders[1:] {
+			if !bytes.Equal(holders[0].js.Result, h.js.Result) {
 				stopAll()
-				return fail("job %s duplicated with divergent results across %v", job.id, holders)
+				return fail("job %s duplicated with divergent results on %s and %s", job.id, holders[0].node, h.node)
 			}
 		}
 	}
@@ -466,18 +535,21 @@ func runClusterSoak(bin string, scale, requests int, workDir string) int {
 			victim.name, victimSteals, stealsWon)
 	}
 	var clientMetrics bytes.Buffer
-	cl.WriteMetrics(&clientMetrics)
+	victimClient.WriteMetrics(&clientMetrics)
 	if opens := metricTotal(clientMetrics.String(), "spt_client_breaker_opens_total"); opens < 1 {
 		stopAll()
 		return fail("client breaker never opened against the killed node (opens=%g)\n%s", opens, clientMetrics.String())
 	}
-	st := cl.Stats()
-	if st.Retries < 1 {
+	var retries int64
+	for _, nc := range ncs {
+		retries += nc.r.Stats().Retries
+	}
+	if retries < 1 {
 		stopAll()
-		return fail("cluster client never retried across the kill (stats %+v)", st)
+		return fail("node clients never retried across the kill")
 	}
 	fmt.Fprintf(os.Stderr, "cluster-soak: kill phase ok: victim steals=1 (total %g) adopted=%g client retries=%d breaker opens present\n",
-		stealsWon, adopted, st.Retries)
+		stealsWon, adopted, retries)
 
 	// Before tearing the survivors down, wait for replication to settle:
 	// every survivor's push queue must drain so each artifact lives on two
@@ -512,23 +584,23 @@ func runClusterSoak(bin string, scale, requests int, workDir string) int {
 	stopAll()
 
 	// Phase 2: replication. The victim's store dir is DELETED — permanent
-	// disk loss, not a warm restart — and only the two survivors come back.
-	// The same work must still be served entirely from the replicated
-	// store: zero recomputations, bit-identical results.
+	// disk loss, not a warm restart — and only the two survivors come back,
+	// each joined to the other. The same work must still be served
+	// entirely from the replicated store: zero recomputations,
+	// bit-identical results.
 	if err := os.RemoveAll(victim.storeDir); err != nil {
 		return fail("destroy victim store: %v", err)
 	}
 	fmt.Fprintf(os.Stderr, "cluster-soak: phase replication: %s's store deleted; same %d jobs against the two survivors\n",
 		victim.name, requests)
 	var survivors []*clusterNode
-	survivorMembers := map[string]string{}
 	for _, n := range nodes {
-		if n.name == victim.name {
-			continue
+		if n != victim {
+			survivors = append(survivors, n)
 		}
-		survivors = append(survivors, n)
-		survivorMembers[n.name] = members[n.name]
 	}
+	s1, s2 := survivors[0], survivors[1]
+	s1.join, s2.join = s2.url(), s1.url()
 	replBegin := time.Now()
 	for _, n := range survivors {
 		if err := n.start(ctx); err != nil {
@@ -536,15 +608,20 @@ func runClusterSoak(bin string, scale, requests int, workDir string) int {
 		}
 	}
 	defer stopAll()
-	cl2 := client.NewCluster(survivorMembers, client.ClusterConfig{
-		Resilient: client.ResilientConfig{MaxAttempts: 6, Seed: 2},
-	})
+	// Until the survivors see each other, a store miss has no peer tier to
+	// fall back on; the zero-recompute check would fail for the wrong
+	// reason.
+	if err := waitAlive(survivors, 20*time.Second); err != nil {
+		snapshotMetrics(nodes, workDir, "replication")
+		return fail("replication restart: %v", err)
+	}
+	ncs2 := nodeClients(survivors, 2)
 	replLatencies := make([]time.Duration, requests)
 	for i, job := range jobs {
 		req := job.req
 		req.Async = false
 		t0 := time.Now()
-		got, _, err := cl2.Simulate(ctx, req)
+		got, err := ncs2[i%len(ncs2)].r.Simulate(ctx, req)
 		replLatencies[i] = time.Since(t0)
 		if err != nil {
 			return fail("replication job %d: %v", i, err)
@@ -579,17 +656,17 @@ func runClusterSoak(bin string, scale, requests int, workDir string) int {
 		memHits, diskHits, peerHits)
 
 	// Phase 3: join. A brand-new node enters with -join <survivor> — no
-	// -cluster list, no restarts anywhere — and must show up alive in a
-	// survivor's view within two gossip intervals, then take traffic for
-	// the ring arcs it now owns.
-	fmt.Fprintf(os.Stderr, "cluster-soak: phase join: n4 joins via gossip seed %s\n", survivors[0].name)
+	// restarts anywhere — and must show up alive in a survivor's view
+	// within two gossip intervals, then take traffic for the ring arcs it
+	// now owns.
+	fmt.Fprintf(os.Stderr, "cluster-soak: phase join: n4 joins via gossip seed %s\n", s1.name)
 	addr4, err := soakFreeAddr()
 	if err != nil {
 		return fail("listen: %v", err)
 	}
 	n4 := &clusterNode{
 		name: "n4", addr: addr4, bin: bin,
-		joinSeed:    survivorMembers[survivors[0].name],
+		join:        s1.url(),
 		journalRoot: journalRoot,
 		storeDir:    filepath.Join(workDir, "store", "n4"),
 	}
@@ -599,46 +676,52 @@ func runClusterSoak(bin string, scale, requests int, workDir string) int {
 	}
 	joinStart := time.Now()
 	joinDeadline := joinStart.Add(2 * clusterSoakGossipInterval)
-	seen := false
-	for !seen && time.Now().Before(joinDeadline) {
-		v, err := survivors[0].view()
+	var joinView *soakClusterView
+	for joinView == nil && time.Now().Before(joinDeadline) {
+		v, err := s1.view()
 		if err == nil && v.gossipState("n4") == "alive" {
-			seen = true
+			joinView = v
 			break
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
 	joinVisible := time.Since(joinStart)
-	if !seen {
+	if joinView == nil {
 		snapshotMetrics(nodes, workDir, "join")
-		return fail("n4 not alive in %s's view within 2 gossip intervals (%v)", survivors[0].name, 2*clusterSoakGossipInterval)
+		return fail("n4 not alive in %s's view within 2 gossip intervals (%v)", s1.name, 2*clusterSoakGossipInterval)
 	}
-	if err := cl2.Refresh(ctx); err != nil {
-		return fail("client refresh after join: %v", err)
+	// Find a route key n4 owns in s1's converged view, then submit it
+	// through s1: the server's ring must forward it to n4.
+	var names []string
+	for _, g := range joinView.Gossip {
+		names = append(names, g.Name)
 	}
-	// Find a route key the ring now assigns to n4 and send it traffic.
+	ring := cluster.NewRing(names, 0)
+	for _, g := range joinView.Gossip {
+		ring.SetAlive(g.Name, g.State != "dead")
+	}
 	var joinReq client.SimulateRequest
 	for sc := scale; sc < scale+8 && joinReq.Benchmark == ""; sc++ {
 		for _, bench := range clusterSoakBenches {
-			if owner, ok := cl2.Ring().Owner(client.RouteKey(bench, sc)); ok && owner == "n4" {
+			if owner, ok := ring.Owner(cluster.RouteKey(bench, sc)); ok && owner == "n4" {
 				joinReq = client.SimulateRequest{Benchmark: bench, Scale: sc, SRB: soakSRB(requests)}
 				break
 			}
 		}
 	}
 	if joinReq.Benchmark == "" {
-		return fail("ring assigned no candidate key to n4 after refresh (alive: %v)", cl2.Ring().Alive())
+		return fail("ring assigned no candidate key to n4 (members %v)", names)
 	}
 	joinWant, err := soakExpectation(joinReq)
 	if err != nil {
 		return fail("join expectation: %v", err)
 	}
-	joinGot, servedBy, err := cl2.Simulate(ctx, joinReq)
+	joinGot, err := ncs2[0].r.Simulate(ctx, joinReq)
 	if err != nil {
 		return fail("join job: %v", err)
 	}
-	if servedBy != "n4" || !strings.HasPrefix(joinGot.JobID, "n4-") {
-		return fail("join job served by %q with id %q, want n4", servedBy, joinGot.JobID)
+	if !strings.HasPrefix(joinGot.JobID, "n4-") {
+		return fail("join job submitted to %s got id %q, want n4-* (forwarded to the new owner)", s1.name, joinGot.JobID)
 	}
 	joinGot.JobID = ""
 	if !sameSim(joinGot, joinWant) {
@@ -651,14 +734,12 @@ func runClusterSoak(bin string, scale, requests int, workDir string) int {
 	// survivors (test hook, no netem) must NOT kill either of them — n4
 	// vouches for both via indirect probes — and healing must leave every
 	// member alive with zero deaths declared.
-	s1, s2 := survivors[0], survivors[1]
 	fmt.Fprintf(os.Stderr, "cluster-soak: phase partition-heal: %s <-/-> %s, %s must vouch\n", s1.name, s2.name, n4.name)
 	live := []*clusterNode{s1, s2, n4}
-	// The restarted survivors re-detect the victim's death from their
-	// static member list (and n4 learns it by rumor) — those are
-	// legitimate deaths. Wait for that to converge everywhere so the
-	// peers-died counters are quiescent before the partition's delta is
-	// measured.
+	// The restarted survivors joined each other and never learn the victim
+	// again unless a rumor of it survives somewhere; any such rumor must
+	// settle to dead everywhere, so the peers-died counters are quiescent
+	// before the partition's delta is measured.
 	convergeDeadline := time.Now().Add(20 * time.Second)
 	for {
 		converged := true
@@ -667,7 +748,7 @@ func runClusterSoak(bin string, scale, requests int, workDir string) int {
 			if err != nil {
 				return fail("pre-partition view %s: %v", n.name, err)
 			}
-			if v.gossipState(victim.name) != "dead" {
+			if st := v.gossipState(victim.name); st != "dead" && st != "" {
 				converged = false
 			}
 		}
@@ -676,7 +757,7 @@ func runClusterSoak(bin string, scale, requests int, workDir string) int {
 		}
 		if time.Now().After(convergeDeadline) {
 			snapshotMetrics(nodes, workDir, "partition")
-			return fail("victim %s's death never converged in every view before the partition", victim.name)
+			return fail("victim %s was neither dead nor absent in every view before the partition", victim.name)
 		}
 		time.Sleep(50 * time.Millisecond)
 	}
@@ -726,28 +807,9 @@ func runClusterSoak(bin string, scale, requests int, workDir string) int {
 	if err := s1.setBlocked(s2.name, false, false); err != nil {
 		return fail("heal: %v", err)
 	}
-	healDeadline := time.Now().Add(10 * time.Second)
-	for {
-		allAlive := true
-		for _, n := range live {
-			v, err := n.view()
-			if err != nil {
-				return fail("heal view %s: %v", n.name, err)
-			}
-			for _, peer := range live {
-				if v.gossipState(peer.name) != "alive" {
-					allAlive = false
-				}
-			}
-		}
-		if allAlive {
-			break
-		}
-		if time.Now().After(healDeadline) {
-			snapshotMetrics(nodes, workDir, "heal")
-			return fail("membership did not settle all-alive after heal")
-		}
-		time.Sleep(50 * time.Millisecond)
+	if err := waitAlive(live, 10*time.Second); err != nil {
+		snapshotMetrics(nodes, workDir, "heal")
+		return fail("membership did not settle all-alive after heal: %v", err)
 	}
 	diedAfter := 0.0
 	for _, n := range live {

@@ -64,7 +64,7 @@ func (d *soakDaemon) start(ctx context.Context) error {
 	d.cmd = cmd
 	deadline := time.Now().Add(30 * time.Second)
 	for time.Now().Before(deadline) && ctx.Err() == nil {
-		resp, err := http.Get("http://" + d.addr + "/healthz")
+		resp, err := http.Get("http://" + d.addr + "/readyz")
 		if err == nil {
 			resp.Body.Close()
 			if resp.StatusCode == http.StatusOK {
@@ -73,7 +73,7 @@ func (d *soakDaemon) start(ctx context.Context) error {
 		}
 		time.Sleep(25 * time.Millisecond)
 	}
-	return fmt.Errorf("sptd on %s did not become healthy", d.addr)
+	return fmt.Errorf("sptd on %s did not become ready", d.addr)
 }
 
 // kill SIGKILLs the daemon — the crash the journal exists for.

@@ -7,9 +7,10 @@
 //	sptd -addr :8750
 //	sptd -addr :8750 -queue 128 -workers 8 -cache-entries 8192
 //	sptd -addr :8750 -timeout 30s -cycles 500000000 -drain-timeout 20s
-//	sptd -addr :8751 -node-id n1 -cluster n1=http://h1:8751,n2=http://h2:8751 \
-//	     -cluster-journal-root /srv/spt/journals -store-dir /srv/spt/store1
-//	sptd -addr :8752 -node-id n4 -join http://h1:8751 -store-dir /srv/spt/store4
+//	sptd -addr :8751 -node-id n1 -cluster-journal-root /srv/spt/journals \
+//	     -store-dir /srv/spt/store1
+//	sptd -addr :8752 -node-id n2 -join http://h1:8751 -advertise http://h2:8752 \
+//	     -cluster-journal-root /srv/spt/journals -store-dir /srv/spt/store2
 //
 // Endpoints:
 //
@@ -18,10 +19,10 @@
 //	POST /v1/sweep           {"benchmark":"parser","sweep":"srb","points":[16,64]}
 //	GET  /v1/jobs/{id}       poll an async job ("async": true on any POST)
 //	GET  /v1/store/{key}     fetch a stored result by content key (peer tier)
-//	GET  /v1/cluster         ring view: self, alive peers, stolen journals
-//	GET  /healthz            liveness + queue state (legacy, always detailed)
+//	GET  /v1/cluster         gossip member table, stolen journals, replication
 //	GET  /livez              process liveness only — restart-worthy failures
-//	GET  /readyz             503 while draining / replaying / store-degraded
+//	GET  /readyz             queue state; 503 while draining / replaying /
+//	                         store-degraded / replication-lagged
 //	GET  /metrics            Prometheus text exposition
 //
 // A full queue rejects with 429 + Retry-After (backpressure); SIGTERM or
@@ -29,10 +30,11 @@
 // in-flight jobs finish under -drain-timeout, then the process exits 0 on
 // a clean drain and 1 if jobs had to be canceled.
 //
-// With -node-id and -cluster (or -join), daemons form a crash-tolerant
-// cluster: membership spreads by gossip (a node started with -join needs
-// only one live seed URL), submissions are forwarded one hop to the
-// consistent-hash owner of the request's benchmark/scale, results read
+// With -node-id, daemons form a crash-tolerant cluster: membership spreads
+// by gossip (the first node is a bare seed; every other node starts with
+// -join and needs only one live seed URL), submissions to any node are
+// forwarded one hop to the consistent-hash owner of the request's
+// benchmark/scale, results read
 // through a tiered store (memory → checksummed disk under -store-dir →
 // alive peers) and are replicated ahead of failure to -replicas ring
 // successors with background anti-entropy repair, and each node gossips
@@ -52,7 +54,6 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"sort"
 	"strings"
 	"syscall"
 	"time"
@@ -63,26 +64,6 @@ import (
 	"repro/internal/nativecap"
 	"repro/internal/service"
 )
-
-// parseMembers decodes -cluster's "n1=http://host:port,n2=..." syntax.
-func parseMembers(spec string) (map[string]string, error) {
-	members := make(map[string]string)
-	for _, part := range strings.Split(spec, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		name, url, ok := strings.Cut(part, "=")
-		if !ok || name == "" || url == "" {
-			return nil, fmt.Errorf("bad -cluster entry %q (want name=url)", part)
-		}
-		members[name] = strings.TrimRight(url, "/")
-	}
-	if len(members) == 0 {
-		return nil, fmt.Errorf("-cluster listed no members")
-	}
-	return members, nil
-}
 
 // advertiseURL derives the base URL peers reach this node at: the explicit
 // -advertise wins; otherwise it is built from -addr, substituting
@@ -121,14 +102,12 @@ func main() {
 		nativeDir    = flag.String("native-cache-dir", "", "native-capture module cache directory (empty = <tmp>/sptd-nativecap)")
 		nativeBytes  = flag.Int64("native-cache-bytes", 256<<20, "native-capture module cache byte bound (LRU-evicted)")
 
-		nodeID      = flag.String("node-id", "", "this node's cluster name (enables cluster mode with -cluster or -join)")
-		clusterSpec = flag.String("cluster", "", "static cluster members as name=url,name=url (must include -node-id)")
-		joinSpec    = flag.String("join", "", "comma-separated seed URLs of existing members to gossip-join (no static list needed)")
-		advertise   = flag.String("advertise", "", "base URL peers reach this node at (default derived from -addr; required with -join behind NAT)")
+		nodeID      = flag.String("node-id", "", "this node's cluster name (enables cluster mode)")
+		joinSpec    = flag.String("join", "", "comma-separated seed URLs of existing members to gossip-join (empty = this node is the first seed)")
+		advertise   = flag.String("advertise", "", "base URL peers reach this node at (default derived from -addr; required behind NAT)")
 		storeDir    = flag.String("store-dir", "", "tiered result store disk-spill directory (survives restarts; empty = memory tier only)")
 		journalRoot = flag.String("cluster-journal-root", "", "shared directory of per-node journal dirs (<root>/<node>/jobs.journal) enabling work stealing")
-		heartbeat   = flag.Duration("heartbeat", 500*time.Millisecond, "cluster peer probe interval (legacy name)")
-		gossipEvery = flag.Duration("gossip-interval", 0, "gossip round interval (0 = -heartbeat)")
+		gossipEvery = flag.Duration("gossip-interval", 500*time.Millisecond, "gossip round interval")
 		missesMax   = flag.Int("heartbeat-misses", 3, "consecutive missed gossip exchanges before indirect probes and suspicion")
 		suspectFor  = flag.Duration("suspect-after", 0, "grace between suspect and dead, during which a live peer can refute (0 = 3x gossip interval)")
 		replicas    = flag.Int("replicas", 2, "store replication factor RF, copies per object including the owner (1 = off)")
@@ -147,7 +126,7 @@ func main() {
 		NodeName:      *nodeID,
 		DefaultBudget: guard.Budget{Timeout: *timeout, Steps: *steps, Cycles: *cycles},
 	}
-	clustered := *nodeID != "" && (*clusterSpec != "" || *joinSpec != "")
+	clustered := *nodeID != ""
 	jdir := *journalDir
 	if clustered && *journalRoot != "" {
 		// In cluster mode the journal lives under the shared root so peers
@@ -189,7 +168,7 @@ func main() {
 	}
 
 	// The tiered store is useful standalone too (-store-dir without
-	// -cluster): warm restarts serve from disk instead of recomputing.
+	// -node-id): warm restarts serve from disk instead of recomputing.
 	var store *cluster.Store
 	var srv *service.Server // captured by the degradation callback below
 	if *storeDir != "" || clustered {
@@ -250,34 +229,18 @@ func main() {
 
 	var mgr *cluster.Manager
 	if clustered {
-		var members map[string]string
-		if *clusterSpec != "" {
-			members, err = parseMembers(*clusterSpec)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "sptd:", err)
-				os.Exit(1)
-			}
-		} else {
-			// -join mode: the static view is just this node; everything else
-			// arrives by gossip through the seeds.
-			members = map[string]string{*nodeID: advertiseURL(*advertise, *addr)}
-		}
 		var seeds []string
 		for _, s := range strings.Split(*joinSpec, ",") {
 			if s = strings.TrimRight(strings.TrimSpace(s), "/"); s != "" {
 				seeds = append(seeds, s)
 			}
 		}
-		interval := *gossipEvery
-		if interval <= 0 {
-			interval = *heartbeat
-		}
 		mgr, err = cluster.NewManager(cluster.ManagerConfig{
 			Self:                *nodeID,
-			Members:             members,
+			SelfURL:             advertiseURL(*advertise, *addr),
 			Seeds:               seeds,
 			JournalRoot:         *journalRoot,
-			Heartbeat:           interval,
+			Heartbeat:           *gossipEvery,
 			MissThreshold:       *missesMax,
 			SuspectAfter:        *suspectFor,
 			Replicas:            *replicas,
@@ -292,12 +255,7 @@ func main() {
 		}
 		extras = append(extras, mgr.Metrics)
 		handler = mgr.Middleware(handler)
-		names := make([]string, 0, len(members))
-		for n := range members {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		fmt.Fprintf(os.Stderr, "sptd: cluster mode, node %s of %s", *nodeID, strings.Join(names, ","))
+		fmt.Fprintf(os.Stderr, "sptd: cluster mode, node %s", *nodeID)
 		if len(seeds) > 0 {
 			fmt.Fprintf(os.Stderr, ", joining via %s", strings.Join(seeds, ","))
 		}

@@ -39,10 +39,11 @@ func freeAddr(t *testing.T) string {
 	return addr
 }
 
-// startDaemon launches sptd and waits for /healthz.
-func startDaemon(t *testing.T, bin, addr, journalDir string) *exec.Cmd {
+// startDaemon launches sptd with the given extra flags and waits for
+// /readyz.
+func startDaemon(t *testing.T, bin, addr string, extra ...string) *exec.Cmd {
 	t.Helper()
-	cmd := exec.Command(bin, "-addr", addr, "-journal-dir", journalDir, "-workers", "1")
+	cmd := exec.Command(bin, append([]string{"-addr", addr, "-workers", "1"}, extra...)...)
 	cmd.Stderr = os.Stderr
 	if err := cmd.Start(); err != nil {
 		t.Fatalf("start sptd: %v", err)
@@ -55,7 +56,7 @@ func startDaemon(t *testing.T, bin, addr, journalDir string) *exec.Cmd {
 	})
 	deadline := time.Now().Add(30 * time.Second)
 	for time.Now().Before(deadline) {
-		resp, err := http.Get("http://" + addr + "/healthz")
+		resp, err := http.Get("http://" + addr + "/readyz")
 		if err == nil {
 			resp.Body.Close()
 			if resp.StatusCode == http.StatusOK {
@@ -64,7 +65,7 @@ func startDaemon(t *testing.T, bin, addr, journalDir string) *exec.Cmd {
 		}
 		time.Sleep(25 * time.Millisecond)
 	}
-	t.Fatal("sptd did not become healthy")
+	t.Fatal("sptd did not become ready")
 	return nil
 }
 
@@ -82,7 +83,7 @@ func TestRestartRecoversDurableJobs(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Minute)
 	defer cancel()
 
-	daemon := startDaemon(t, bin, addr, journalDir)
+	daemon := startDaemon(t, bin, addr, "-journal-dir", journalDir)
 	cl := client.New("http://"+addr, http.DefaultClient)
 
 	// Distinct SRB sizes make each job a distinct simulation — no artifact
@@ -122,7 +123,7 @@ func TestRestartRecoversDurableJobs(t *testing.T) {
 	_, _ = daemon.Process.Wait()
 
 	// Restart on the same journal; every job must converge to done/ok.
-	startDaemon(t, bin, addr, journalDir)
+	startDaemon(t, bin, addr, "-journal-dir", journalDir)
 	results := make([]*client.SimulateResponse, len(ids))
 	for i, id := range ids {
 		js, err := cl.Wait(ctx, id, 50*time.Millisecond)
@@ -152,6 +153,30 @@ func TestRestartRecoversDurableJobs(t *testing.T) {
 		if got.Baseline != want.Baseline || got.SPT != want.SPT || got.Speedup != want.Speedup {
 			t.Fatalf("job %s diverged from fault-free run:\nrecovered %+v\nfresh     %+v", ids[i], got, want)
 		}
+	}
+}
+
+// TestNodeIDAloneIsASeed: -node-id alone turns on cluster mode — the first
+// node of a cluster is a bare seed that others -join — and its
+// /v1/cluster view lists itself alive.
+func TestNodeIDAloneIsASeed(t *testing.T) {
+	if testing.Short() {
+		t.Skip("integration test: builds and starts a daemon")
+	}
+	bin := buildSptd(t)
+	addr := freeAddr(t)
+	startDaemon(t, bin, addr, "-node-id", "n1")
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	view, err := client.New("http://"+addr, http.DefaultClient).ClusterView(ctx)
+	if err != nil {
+		t.Fatalf("GET /v1/cluster: %v", err)
+	}
+	if view.Self != "n1" || len(view.Gossip) != 1 {
+		t.Fatalf("cluster view = %+v, want self n1 and one member", view)
+	}
+	if m := view.Gossip[0]; m.Name != "n1" || m.State != "alive" || m.URL != "http://"+addr {
+		t.Fatalf("self row = %+v, want n1 alive at http://%s", m, addr)
 	}
 }
 

@@ -146,7 +146,7 @@ func TestMiddlewareErrorThenPass(t *testing.T) {
 	ts := httptest.NewServer(h)
 	defer ts.Close()
 
-	resp, err := http.Get(ts.URL + "/healthz")
+	resp, err := http.Get(ts.URL + "/livez")
 	if err != nil || resp.StatusCode != http.StatusOK {
 		t.Fatalf("unmatched path faulted: %v %v", err, resp.Status)
 	}

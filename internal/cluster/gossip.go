@@ -14,8 +14,8 @@ import (
 	"time"
 )
 
-// This file is the SWIM-style membership layer that replaces the static
-// -cluster member list: nodes join through any seed peer, piggyback the
+// This file is the SWIM-style membership layer, the only way into a
+// cluster: nodes join through any seed peer, piggyback the
 // whole member table (alive/suspect/dead plus incarnation numbers) on every
 // probe exchange, and escalate a silent peer through suspect before dead so
 // one observer's bad network path never declares a live node gone. The
@@ -180,7 +180,7 @@ type GossipConfig struct {
 	// Self is this node's name; SelfURL its advertised base URL.
 	Self    string
 	SelfURL string
-	// Seeds are base URLs to join through when the member table holds
+	// Seeds are base URLs to join through while the member table holds
 	// nobody but self (the -join path). Ignored once peers are known.
 	Seeds []string
 	// Interval is the probe cadence (informational here; the owner drives
@@ -235,10 +235,10 @@ type Gossip struct {
 	joins          atomic.Int64
 }
 
-// NewGossip seeds the table with self (alive, incarnation 1) and any
-// statically configured members (incarnation 0, so their own gossip always
-// wins over the static seed).
-func NewGossip(cfg GossipConfig, static map[string]string) *Gossip {
+// NewGossip seeds the table with self (alive, incarnation 1); every other
+// member arrives through Merge — a seed exchange, an inbound exchange, or a
+// caller folding in a known table.
+func NewGossip(cfg GossipConfig) *Gossip {
 	if cfg.Interval <= 0 {
 		cfg.Interval = 500 * time.Millisecond
 	}
@@ -264,12 +264,6 @@ func NewGossip(cfg GossipConfig, static map[string]string) *Gossip {
 	g.members[cfg.Self] = &gossipMember{Member: Member{
 		Name: cfg.Self, URL: cfg.SelfURL, State: StateAlive, Incarnation: 1,
 	}}
-	for name, url := range static {
-		if name == cfg.Self {
-			continue
-		}
-		g.members[name] = &gossipMember{Member: Member{Name: name, URL: url, State: StateAlive}}
-	}
 	return g
 }
 

@@ -27,7 +27,7 @@ func newGossipNode(t *testing.T, name string, cfg GossipConfig) *gossipNode {
 	if cfg.Interval == 0 {
 		cfg.Interval = 100 * time.Millisecond
 	}
-	g := NewGossip(cfg, nil)
+	g := NewGossip(cfg)
 	mux.HandleFunc("POST /v1/gossip", g.HandleExchange)
 	mux.HandleFunc("POST /v1/gossip/probe", g.HandleProbe)
 	return &gossipNode{g: g, srv: srv}
@@ -189,7 +189,8 @@ func TestGossipRefutationOutrunsRumor(t *testing.T) {
 }
 
 func TestGossipMergeOrdering(t *testing.T) {
-	g := NewGossip(GossipConfig{Self: "self", SelfURL: "http://self"}, map[string]string{"p": "http://p"})
+	g := NewGossip(GossipConfig{Self: "self", SelfURL: "http://self"})
+	g.Merge([]Member{{Name: "p", URL: "http://p", State: StateAlive}})
 
 	// Same incarnation: more severe state wins.
 	g.Merge([]Member{{Name: "p", URL: "http://p", State: StateSuspect, Incarnation: 0}})
@@ -294,7 +295,7 @@ func FuzzGossipDecode(f *testing.F) {
 		}
 		// Merging any decoded table must not poison the member table: the
 		// self entry stays alive and its incarnation never decreases.
-		g := NewGossip(GossipConfig{Self: "self", SelfURL: "http://self"}, nil)
+		g := NewGossip(GossipConfig{Self: "self", SelfURL: "http://self"})
 		before, _ := g.StateOf("self")
 		g.Merge(members)
 		self, ok := g.StateOf("self")
@@ -309,7 +310,7 @@ func FuzzGossipDecode(f *testing.F) {
 }
 
 func TestGossipHandleExchangeTornBody(t *testing.T) {
-	g := NewGossip(GossipConfig{Self: "self", SelfURL: "http://self"}, nil)
+	g := NewGossip(GossipConfig{Self: "self", SelfURL: "http://self"})
 	req := httptest.NewRequest(http.MethodPost, "/v1/gossip", bytes.NewReader([]byte("garbage")))
 	rec := httptest.NewRecorder()
 	g.HandleExchange(rec, req)

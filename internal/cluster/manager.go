@@ -22,14 +22,12 @@ import (
 
 // ManagerConfig wires one node into the cluster.
 type ManagerConfig struct {
-	// Self is this node's name; it must be a key of Members.
-	Self string
-	// Members maps statically configured node names (self included) to
-	// their base URLs. With gossip, this is only the starting view: peers
-	// learned through -join seeds or gossip merge in at runtime.
-	Members map[string]string
-	// Seeds are base URLs of existing cluster members to join through when
-	// Members lists nobody but self (the -join path).
+	// Self is this node's name; SelfURL the base URL peers reach it at.
+	Self    string
+	SelfURL string
+	// Seeds are base URLs of existing cluster members to join through.
+	// Empty makes this node a bare seed: it knows only itself until a
+	// joining peer's first gossip exchange reaches it.
 	Seeds []string
 	// JournalRoot is the directory holding one journal dir per node
 	// (<root>/<name>/jobs.journal). Work stealing first acquires the dead
@@ -88,7 +86,7 @@ const replicationLagHighWater = 8
 // journal.
 type Manager struct {
 	cfg    ManagerConfig
-	ring   *client.Ring
+	ring   *Ring
 	gossip *Gossip
 	repl   *Replicator
 	http   *http.Client // gossip exchanges (short timeout)
@@ -117,15 +115,12 @@ type Manager struct {
 	joinsObserved atomic.Int64
 }
 
-// NewManager validates the wiring, builds the ring (statically configured
-// members start alive) and the gossip and replication layers. Call Start
-// to begin gossiping.
+// NewManager validates the wiring, builds the ring (self only: every other
+// member joins it through gossip) and the gossip and replication layers.
+// Call Start to begin gossiping.
 func NewManager(cfg ManagerConfig) (*Manager, error) {
 	if cfg.Self == "" {
 		return nil, fmt.Errorf("cluster: manager needs a node name")
-	}
-	if _, ok := cfg.Members[cfg.Self]; !ok {
-		return nil, fmt.Errorf("cluster: self %q not in members", cfg.Self)
 	}
 	if cfg.Server == nil {
 		return nil, fmt.Errorf("cluster: manager needs the local server")
@@ -151,15 +146,10 @@ func NewManager(cfg ManagerConfig) (*Manager, error) {
 	if cfg.ForwardHTTPClient == nil {
 		cfg.ForwardHTTPClient = &http.Client{}
 	}
-	names := make([]string, 0, len(cfg.Members))
-	for name := range cfg.Members {
-		names = append(names, name)
-	}
-	sort.Strings(names)
 	ctx, cancel := context.WithCancel(context.Background())
 	m := &Manager{
 		cfg:    cfg,
-		ring:   client.NewRing(names, cfg.RingReplicas),
+		ring:   NewRing([]string{cfg.Self}, cfg.RingReplicas),
 		http:   cfg.HTTPClient,
 		fwd:    cfg.ForwardHTTPClient,
 		ctx:    ctx,
@@ -167,13 +157,9 @@ func NewManager(cfg ManagerConfig) (*Manager, error) {
 		stolen: make(map[string]bool),
 		stop:   make(chan struct{}),
 	}
-	static := make(map[string]string, len(cfg.Members))
-	for name, url := range cfg.Members {
-		static[name] = url
-	}
 	m.gossip = NewGossip(GossipConfig{
 		Self:          cfg.Self,
-		SelfURL:       cfg.Members[cfg.Self],
+		SelfURL:       cfg.SelfURL,
 		Seeds:         cfg.Seeds,
 		Interval:      cfg.Heartbeat,
 		SuspectAfter:  cfg.SuspectAfter,
@@ -182,7 +168,7 @@ func NewManager(cfg ManagerConfig) (*Manager, error) {
 		OnJoin:        m.onJoin,
 		OnDead:        m.onDead,
 		OnAlive:       m.onAlive,
-	}, static)
+	})
 	if cfg.Store != nil {
 		cfg.Store.SetPeerSource(m.AlivePeerURLs)
 		m.repl = NewReplicator(ReplicatorConfig{
@@ -258,7 +244,7 @@ func (m *Manager) onReplicationLag(pending int) {
 }
 
 // Ring exposes this node's ring view (tests, debug endpoint).
-func (m *Manager) Ring() *client.Ring { return m.ring }
+func (m *Manager) Ring() *Ring { return m.ring }
 
 // Gossip exposes the membership layer (tests, sptd wiring).
 func (m *Manager) Gossip() *Gossip { return m.gossip }
@@ -289,15 +275,6 @@ func (m *Manager) AlivePeerURLs() []string {
 		urls = append(urls, p.URL)
 	}
 	return urls
-}
-
-// memberURL resolves a member's base URL, preferring the gossip table
-// (which tracks joins and address changes) over the static map.
-func (m *Manager) memberURL(name string) string {
-	if url, ok := m.gossip.URLOf(name); ok && url != "" {
-		return url
-	}
-	return m.cfg.Members[name]
 }
 
 // Start launches the gossip loop and (with a store) the replication loop.
@@ -506,8 +483,8 @@ const forwardedHeader = "X-Spt-Forwarded"
 //	POST /v1/gossip              — membership exchange
 //	POST /v1/gossip/probe        — indirect probe on a third node's behalf
 //	POST /v1/gossip/block        — partition test hook (EnableTestHooks only)
-//	POST /v1/compile|simulate|sweep — forward to the ring owner when a
-//	     stale client routed the job here (one hop, marked by header)
+//	POST /v1/compile|simulate|sweep — forward to the ring owner when
+//	     another node owns the job (one hop, marked by header)
 //
 // Everything else passes through.
 func (m *Manager) Middleware(next http.Handler) http.Handler {
@@ -606,11 +583,11 @@ func (m *Manager) maybeForward(w http.ResponseWriter, r *http.Request) bool {
 	if json.Unmarshal(body, &rr) != nil || rr.Benchmark == "" {
 		return false // let the handler produce its structured 400
 	}
-	owner, ok := m.ring.Owner(client.RouteKey(rr.Benchmark, rr.Scale))
+	owner, ok := m.ring.Owner(RouteKey(rr.Benchmark, rr.Scale))
 	if !ok || owner == m.cfg.Self || !m.ring.IsAlive(owner) {
 		return false
 	}
-	base := m.memberURL(owner)
+	base, _ := m.gossip.URLOf(owner)
 	if base == "" {
 		return false
 	}
@@ -641,10 +618,8 @@ func (m *Manager) maybeForward(w http.ResponseWriter, r *http.Request) bool {
 
 // clusterView is the GET /v1/cluster body (mirrored by client.ClusterView).
 type clusterView struct {
-	Self    string            `json:"self"`
-	Members map[string]string `json:"members"`
-	Alive   []string          `json:"alive"`
-	Stolen  []string          `json:"stolen,omitempty"`
+	Self   string   `json:"self"`
+	Stolen []string `json:"stolen,omitempty"`
 
 	Gossip             []memberView `json:"gossip,omitempty"`
 	StoreDegraded      bool         `json:"store_degraded,omitempty"`
@@ -668,12 +643,8 @@ func (m *Manager) serveClusterView(w http.ResponseWriter) {
 	m.mu.Unlock()
 	sort.Strings(stolen)
 	snapshot := m.gossip.Snapshot()
-	members := make(map[string]string, len(snapshot))
 	gossip := make([]memberView, 0, len(snapshot))
 	for _, mem := range snapshot {
-		if mem.URL != "" {
-			members[mem.Name] = mem.URL
-		}
 		gossip = append(gossip, memberView{
 			Name:        mem.Name,
 			URL:         mem.URL,
@@ -682,11 +653,9 @@ func (m *Manager) serveClusterView(w http.ResponseWriter) {
 		})
 	}
 	view := clusterView{
-		Self:    m.cfg.Self,
-		Members: members,
-		Alive:   m.ring.Alive(),
-		Stolen:  stolen,
-		Gossip:  gossip,
+		Self:   m.cfg.Self,
+		Stolen: stolen,
+		Gossip: gossip,
 	}
 	if m.cfg.Store != nil {
 		view.StoreDegraded = m.cfg.Store.Degraded()

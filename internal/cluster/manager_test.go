@@ -85,6 +85,23 @@ func writeDeadNodeJournal(t *testing.T, root, name string, benches []string) []s
 	return ids
 }
 
+// joinManager builds a manager and folds peers (name → base URL, self
+// included) into its table through Gossip().Merge — the same path a seed
+// exchange takes in production.
+func joinManager(cfg ManagerConfig, peers map[string]string) (*Manager, error) {
+	cfg.SelfURL = peers[cfg.Self]
+	m, err := NewManager(cfg)
+	if err != nil {
+		return nil, err
+	}
+	table := make([]Member, 0, len(peers))
+	for name, url := range peers {
+		table = append(table, Member{Name: name, URL: url, State: StateAlive})
+	}
+	m.Gossip().Merge(table)
+	return m, nil
+}
+
 func TestStealExactlyOneSurvivorAdopts(t *testing.T) {
 	root := t.TempDir()
 	ids := writeDeadNodeJournal(t, root, "n3", []string{"parser", "mcf"})
@@ -96,7 +113,7 @@ func TestStealExactlyOneSurvivorAdopts(t *testing.T) {
 	}
 	mk := func(name string) (*service.Server, *Manager) {
 		s, _ := newClusterServer(t, name, filepath.Join(root, name))
-		m, err := NewManager(ManagerConfig{Self: name, Members: members, JournalRoot: root, Server: s})
+		m, err := joinManager(ManagerConfig{Self: name, JournalRoot: root, Server: s}, members)
 		if err != nil {
 			t.Fatalf("NewManager(%s): %v", name, err)
 		}
@@ -168,7 +185,7 @@ func TestStealFencedWhileVictimAlive(t *testing.T) {
 	}
 	s, _ := newClusterServer(t, "n1", filepath.Join(root, "n1"))
 	members := map[string]string{"n1": "http://127.0.0.1:1", "n3": "http://127.0.0.1:3"}
-	m, err := NewManager(ManagerConfig{Self: "n1", Members: members, JournalRoot: root, Server: s})
+	m, err := joinManager(ManagerConfig{Self: "n1", JournalRoot: root, Server: s}, members)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +224,7 @@ func TestForwardOutlivesHeartbeatTimeout(t *testing.T) {
 
 	sa, _ := newClusterServer(t, "a", "")
 	members := map[string]string{"a": "http://127.0.0.1:1", "b": slow.URL}
-	ma, err := NewManager(ManagerConfig{Self: "a", Members: members, Heartbeat: hb, Server: sa})
+	ma, err := joinManager(ManagerConfig{Self: "a", Heartbeat: hb, Server: sa}, members)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +233,7 @@ func TestForwardOutlivesHeartbeatTimeout(t *testing.T) {
 
 	var bench string
 	for _, cand := range []string{"parser", "mcf", "gzip", "twolf", "vortex", "vpr", "gcc", "gap"} {
-		if owner, ok := ma.Ring().Owner(client.RouteKey(cand, 1)); ok && owner == "b" {
+		if owner, ok := ma.Ring().Owner(RouteKey(cand, 1)); ok && owner == "b" {
 			bench = cand
 			break
 		}
@@ -258,10 +275,10 @@ func clusterNodePair(t *testing.T) (ma, mb *Manager, tsa, tsb *httptest.Server) 
 	sb, tsb, hb := mk("b")
 	members := map[string]string{"a": tsa.URL, "b": tsb.URL}
 	var err error
-	if ma, err = NewManager(ManagerConfig{Self: "a", Members: members, Server: sa}); err != nil {
+	if ma, err = joinManager(ManagerConfig{Self: "a", Server: sa}, members); err != nil {
 		t.Fatal(err)
 	}
-	if mb, err = NewManager(ManagerConfig{Self: "b", Members: members, Server: sb}); err != nil {
+	if mb, err = joinManager(ManagerConfig{Self: "b", Server: sb}, members); err != nil {
 		t.Fatal(err)
 	}
 	ha.Store(handlerBox{ma.Middleware(sa.Handler())})
@@ -275,7 +292,7 @@ func TestMiddlewareForwardsToOwnerOneHop(t *testing.T) {
 	// Find a benchmark whose ring owner is b, then submit it to a.
 	var bench string
 	for _, cand := range []string{"parser", "mcf", "gzip", "twolf", "vortex", "vpr", "gcc", "gap"} {
-		if owner, ok := ma.Ring().Owner(client.RouteKey(cand, 1)); ok && owner == "b" {
+		if owner, ok := ma.Ring().Owner(RouteKey(cand, 1)); ok && owner == "b" {
 			bench = cand
 			break
 		}
@@ -339,7 +356,7 @@ func TestMiddlewareStoreAndClusterView(t *testing.T) {
 	st.Put(key, payload)
 	m, err := NewManager(ManagerConfig{
 		Self:    "a",
-		Members: map[string]string{"a": "http://127.0.0.1:1"},
+		SelfURL: "http://127.0.0.1:1",
 		Server:  s,
 		Store:   st,
 	})
@@ -371,14 +388,11 @@ func TestMiddlewareStoreAndClusterView(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var view struct {
-		Self  string   `json:"self"`
-		Alive []string `json:"alive"`
-	}
+	var view client.ClusterView
 	if err := json.NewDecoder(resp.Body).Decode(&view); err != nil {
 		t.Fatal(err)
 	}
-	if view.Self != "a" || len(view.Alive) != 1 || view.Alive[0] != "a" {
+	if view.Self != "a" || len(view.Gossip) != 1 || view.Gossip[0].Name != "a" || view.Gossip[0].State != "alive" {
 		t.Fatalf("cluster view = %+v", view)
 	}
 }
@@ -397,14 +411,13 @@ func TestGossipDeclaresDeadThenRevives(t *testing.T) {
 	defer tsb.Close()
 
 	sa, _ := newClusterServer(t, "a", "")
-	m, err := NewManager(ManagerConfig{
+	m, err := joinManager(ManagerConfig{
 		Self:          "a",
-		Members:       map[string]string{"a": "http://127.0.0.1:1", "b": tsb.URL},
 		Heartbeat:     10 * time.Millisecond,
 		MissThreshold: 2,
 		SuspectAfter:  30 * time.Millisecond,
 		Server:        sa,
-	})
+	}, map[string]string{"a": "http://127.0.0.1:1", "b": tsb.URL})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -466,16 +479,15 @@ func TestStopCancelsInflightProbe(t *testing.T) {
 	defer close(release)
 
 	sa, _ := newClusterServer(t, "a", "")
-	m, err := NewManager(ManagerConfig{
-		Self:    "a",
-		Members: map[string]string{"a": "http://127.0.0.1:1", "b": stall.URL},
+	m, err := joinManager(ManagerConfig{
+		Self: "a",
 		// A long heartbeat makes the per-exchange timeout far longer than
 		// the Stop deadline below, and the client has no timeout of its
 		// own: only lifecycle cancellation can end this probe early.
 		Heartbeat:  10 * time.Second,
 		HTTPClient: &http.Client{},
 		Server:     sa,
-	})
+	}, map[string]string{"a": "http://127.0.0.1:1", "b": stall.URL})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -516,13 +528,12 @@ func TestStealRestoresResultsToStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := NewManager(ManagerConfig{
+	m, err := joinManager(ManagerConfig{
 		Self:        "n1",
-		Members:     map[string]string{"n1": "http://127.0.0.1:1", "n3": "http://127.0.0.1:3"},
 		JournalRoot: root,
 		Server:      s,
 		Store:       st,
-	})
+	}, map[string]string{"n1": "http://127.0.0.1:1", "n3": "http://127.0.0.1:3"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -574,7 +585,7 @@ func TestClusterViewExtendedAndLagCondition(t *testing.T) {
 	}
 	m, err := NewManager(ManagerConfig{
 		Self:    "a",
-		Members: map[string]string{"a": "http://127.0.0.1:1"},
+		SelfURL: "http://127.0.0.1:1",
 		Server:  s,
 		Store:   st,
 	})
@@ -627,12 +638,11 @@ func TestBlockHookGated(t *testing.T) {
 	body := `{"peer":"b","inbound":true,"outbound":true}`
 	mk := func(hooks bool) *httptest.Server {
 		s, _ := newClusterServer(t, "a", "")
-		m, err := NewManager(ManagerConfig{
+		m, err := joinManager(ManagerConfig{
 			Self:            "a",
-			Members:         map[string]string{"a": "http://127.0.0.1:1", "b": "http://127.0.0.1:2"},
 			Server:          s,
 			EnableTestHooks: hooks,
-		})
+		}, map[string]string{"a": "http://127.0.0.1:1", "b": "http://127.0.0.1:2"})
 		if err != nil {
 			t.Fatal(err)
 		}

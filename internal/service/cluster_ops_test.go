@@ -75,13 +75,10 @@ func TestLivezReadyzEndpoints(t *testing.T) {
 	if h.Node != "n1" {
 		t.Fatalf("/readyz node = %q, want n1", h.Node)
 	}
-	// Liveness and the informational probe stay 200: a degraded node must
-	// not be restarted, only drained of new work.
+	// Liveness stays 200: a degraded node must not be restarted, only
+	// drained of new work.
 	if resp, _ := get("/livez"); resp.StatusCode != http.StatusOK {
 		t.Fatalf("/livez while degraded = %d, want 200", resp.StatusCode)
-	}
-	if resp, h := get("/healthz"); resp.StatusCode != http.StatusOK || h.Ready {
-		t.Fatalf("/healthz while degraded = %d ready=%v, want 200 + not ready", resp.StatusCode, h.Ready)
 	}
 
 	s.SetCondition(CondStoreDegraded, false)

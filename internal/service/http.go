@@ -19,7 +19,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/simulate", s.handleSimulate)
 	mux.HandleFunc("POST /v1/sweep", s.handleSweep)
 	mux.HandleFunc("GET /v1/jobs/{id}", s.handleJob)
-	mux.HandleFunc("GET /healthz", s.handleHealth)
 	mux.HandleFunc("GET /livez", s.handleLive)
 	mux.HandleFunc("GET /readyz", s.handleReady)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
@@ -79,7 +78,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, j.status())
 }
 
-// healthNow assembles the shared /healthz and /readyz body.
+// healthNow assembles the /readyz body.
 func (s *Server) healthNow() client.Health {
 	ready, conds := s.ReadyState()
 	status := "ok"
@@ -97,13 +96,6 @@ func (s *Server) healthNow() client.Health {
 		Workers:    s.cfg.Workers,
 		UptimeMS:   time.Since(s.start).Milliseconds(),
 	}
-}
-
-// handleHealth is the informational probe: always 200 while the process is
-// up, with the full state in the body (Status/Ready/Conditions distinguish
-// draining, journal-replay and store-degraded).
-func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.healthNow())
 }
 
 // handleLive is the liveness probe: 200 iff the process can serve HTTP at

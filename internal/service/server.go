@@ -78,7 +78,7 @@ type Config struct {
 	MaxAttempts int
 	// NodeName, when set, namespaces job ids as "<node>-j000001" so jobs
 	// adopted from a dead peer's journal can never collide with local ones,
-	// and reports the node in /healthz. Empty for a standalone daemon.
+	// and reports the node in /readyz. Empty for a standalone daemon.
 	NodeName string
 	// CompactEvery auto-compacts the journal after this many appends
 	// (default 256; negative = manual compaction only). Boot replay always

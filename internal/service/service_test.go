@@ -335,12 +335,15 @@ func TestDrainRejectsNewWorkAndFinishesInFlight(t *testing.T) {
 		t.Errorf("in-flight job during drain: resp %+v err %v; want completion", inflightResp, inflightErr)
 	}
 
-	h, err := cl.Health(context.Background())
-	if err != nil {
-		t.Fatalf("healthz after drain: %v", err)
+	// A drained node is not ready: /readyz answers 503 with the draining
+	// condition in its body.
+	_, err = cl.Health(context.Background())
+	if !errors.As(err, &ae) || ae.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("readyz after drain: got %v; want 503", err)
 	}
-	if !h.Draining || h.Status != "draining" {
-		t.Errorf("health after drain = %+v; want draining", h)
+	var h client.Health
+	if jerr := json.Unmarshal([]byte(ae.Body.Error), &h); jerr != nil || !h.Draining || h.Status != "draining" {
+		t.Errorf("readyz body after drain = %q (%v); want draining", ae.Body.Error, jerr)
 	}
 }
 

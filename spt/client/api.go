@@ -197,8 +197,8 @@ type ErrorBody struct {
 	Panicked       bool   `json:"panicked,omitempty"`
 }
 
-// Health is the GET /healthz payload (also the /readyz body, where the
-// HTTP status additionally encodes readiness: 200 ready, 503 not).
+// Health is the GET /readyz body; the HTTP status additionally encodes
+// readiness: 200 ready, 503 not.
 type Health struct {
 	// Status is "ok" when the node is serving, otherwise the dominant
 	// not-ready condition: "draining" | "journal-replay" | "store-degraded".
@@ -227,16 +227,14 @@ type ClusterMember struct {
 	Incarnation uint64 `json:"incarnation"`
 }
 
-// ClusterView is the GET /v1/cluster payload: static membership and
-// liveness (pre-gossip fields, kept for compatibility) plus the gossip
-// member table and replication health, so operators and soak harnesses can
-// assert convergence instead of sleeping.
+// ClusterView is the GET /v1/cluster payload: the node's gossip member
+// table, the dead peers whose journals it adopted, and store and
+// replication health, so operators and soak harnesses can assert
+// convergence instead of sleeping.
 type ClusterView struct {
-	Self    string            `json:"self"`
-	Members map[string]string `json:"members"`
-	Alive   []string          `json:"alive"`
-	Stolen  []string          `json:"stolen,omitempty"`
-	// Gossip is the per-peer membership table (empty on pre-gossip nodes).
+	Self   string   `json:"self"`
+	Stolen []string `json:"stolen,omitempty"`
+	// Gossip is the membership table, self included.
 	Gossip []ClusterMember `json:"gossip,omitempty"`
 	// StoreDegraded mirrors the store's disk-tier health flag.
 	StoreDegraded bool `json:"store_degraded,omitempty"`

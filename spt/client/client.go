@@ -159,10 +159,11 @@ func (c *Client) ClusterView(ctx context.Context) (*ClusterView, error) {
 	return &out, nil
 }
 
-// Health fetches /healthz.
+// Health fetches /readyz. A node that is not ready answers 503, which
+// comes back as an *APIError that IsBackpressure classifies as retryable.
 func (c *Client) Health(ctx context.Context) (*Health, error) {
 	var out Health
-	if err := c.get(ctx, "/healthz", &out); err != nil {
+	if err := c.get(ctx, "/readyz", &out); err != nil {
 		return nil, err
 	}
 	return &out, nil

@@ -25,26 +25,9 @@ func breakerStateValue(state int) int {
 // per-endpoint breaker transition counters and live state. Soak harnesses
 // and operators scrape this instead of grepping logs to assert, e.g., that
 // a circuit opened during an outage and recovered after the restart.
-func (r *Resilient) WriteMetrics(w io.Writer) { r.writeMetricsLabeled(w, "") }
-
-// writeMetricsLabeled is WriteMetrics with an extra label pair (e.g.
-// `node="n1"`) spliced into every sample — the cluster client renders one
-// wrapper per member through this.
-func (r *Resilient) writeMetricsLabeled(w io.Writer, extra string) {
-	lbl := func(more string) string {
-		switch {
-		case extra == "" && more == "":
-			return ""
-		case extra == "":
-			return "{" + more + "}"
-		case more == "":
-			return "{" + extra + "}"
-		default:
-			return "{" + extra + "," + more + "}"
-		}
-	}
+func (r *Resilient) WriteMetrics(w io.Writer) {
 	counter := func(name, help string, v int64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s%s %d\n", name, help, name, name, lbl(""), v)
+		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
 	}
 	counter("spt_client_attempts_total", "Requests sent, retries and hedge probes included.", r.attempts.Load())
 	counter("spt_client_retries_total", "Attempts beyond each call's first.", r.retries.Load())
@@ -72,15 +55,15 @@ func (r *Resilient) writeMetricsLabeled(w io.Writer, extra string) {
 
 	fmt.Fprintf(w, "# HELP spt_client_breaker_opens_total Circuit transitions into open, per endpoint.\n# TYPE spt_client_breaker_opens_total counter\n")
 	for _, s := range snaps {
-		fmt.Fprintf(w, "spt_client_breaker_opens_total%s %d\n", lbl(fmt.Sprintf("endpoint=%q", s.endpoint)), s.opens)
+		fmt.Fprintf(w, "spt_client_breaker_opens_total{endpoint=%q} %d\n", s.endpoint, s.opens)
 	}
 	fmt.Fprintf(w, "# HELP spt_client_breaker_recoveries_total Half-open probes that closed a circuit, per endpoint.\n# TYPE spt_client_breaker_recoveries_total counter\n")
 	for _, s := range snaps {
-		fmt.Fprintf(w, "spt_client_breaker_recoveries_total%s %d\n", lbl(fmt.Sprintf("endpoint=%q", s.endpoint)), s.recoveries)
+		fmt.Fprintf(w, "spt_client_breaker_recoveries_total{endpoint=%q} %d\n", s.endpoint, s.recoveries)
 	}
 	fmt.Fprintf(w, "# HELP spt_client_breaker_state Current breaker state per endpoint: 0 closed, 1 open, 2 half-open.\n# TYPE spt_client_breaker_state gauge\n")
 	for _, s := range snaps {
-		fmt.Fprintf(w, "spt_client_breaker_state%s %d\n", lbl(fmt.Sprintf("endpoint=%q", s.endpoint)), breakerStateValue(s.state))
+		fmt.Fprintf(w, "spt_client_breaker_state{endpoint=%q} %d\n", s.endpoint, breakerStateValue(s.state))
 	}
 }
 

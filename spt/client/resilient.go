@@ -287,9 +287,9 @@ func (r *Resilient) Job(ctx context.Context, id string) (*JobStatus, error) {
 	})
 }
 
-// Health fetches /healthz with retries and (when configured) hedging.
+// Health fetches /readyz with retries and (when configured) hedging.
 func (r *Resilient) Health(ctx context.Context) (*Health, error) {
-	return call(r, ctx, "/healthz", func(ctx context.Context) (*Health, error) {
+	return call(r, ctx, "/readyz", func(ctx context.Context) (*Health, error) {
 		return hedge(r, ctx, func(ctx context.Context) (*Health, error) {
 			return r.c.Health(ctx)
 		})

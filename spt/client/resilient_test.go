@@ -12,7 +12,7 @@ import (
 	"time"
 )
 
-// truncatingServer answers /healthz; the first truncate responses declare a
+// truncatingServer answers /readyz; the first truncate responses declare a
 // full Content-Length but write only half the body, so the client's body
 // read fails with io.ErrUnexpectedEOF.
 func truncatingServer(truncate int) (*httptest.Server, *atomic.Int64) {
