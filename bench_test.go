@@ -18,7 +18,6 @@ import (
 	"repro/internal/compiler"
 	"repro/internal/harness"
 	"repro/internal/interp"
-	"repro/internal/nativecap"
 	"repro/internal/trace"
 	"repro/spt"
 )
@@ -304,9 +303,8 @@ func BenchmarkTraceRecord(b *testing.B) {
 }
 
 // BenchmarkTraceCapture measures interpreter-driven trace capture of the
-// Figure 1 parser benchmark — the baseline the native path is judged
-// against. "Bytes" is the finished recording's resident size, so MB/s is
-// capture throughput.
+// Figure 1 parser benchmark. "Bytes" is the finished recording's resident
+// size, so MB/s is capture throughput.
 func BenchmarkTraceCapture(b *testing.B) {
 	b.ReportAllocs()
 	prog := spt.Benchmark("parser", benchScale)
@@ -325,43 +323,6 @@ func BenchmarkTraceCapture(b *testing.B) {
 		rec.Release()
 	}
 	b.SetBytes(size)
-}
-
-// BenchmarkNativeCapture measures the same capture through a compiled
-// native module (internal/nativecap): the warm-up iteration builds and
-// differentially verifies the module, then each timed iteration is one
-// worker round-trip producing a Recording bit-identical to the
-// interpreter's. Compare MB/s against BenchmarkTraceCapture.
-func BenchmarkNativeCapture(b *testing.B) {
-	b.ReportAllocs()
-	prog := spt.Benchmark("parser", benchScale)
-	lp, err := interp.Load(prog)
-	if err != nil {
-		b.Fatal(err)
-	}
-	nc, err := nativecap.New(nativecap.Options{Dir: b.TempDir()})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer nc.Close()
-	rec, err := nc.Capture(context.Background(), prog, lp, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	size := rec.Bytes()
-	rec.Release()
-	if s := nc.Stats(); s.Native == 0 {
-		b.Skipf("native capture unavailable, interpreter fallback active (stats %+v)", s)
-	}
-	b.SetBytes(size)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rec, err := nc.Capture(context.Background(), prog, lp, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		rec.Release()
-	}
 }
 
 // BenchmarkTraceReplay measures fanning a captured recording back out:

@@ -7,6 +7,7 @@
 //	sptd -addr :8750
 //	sptd -addr :8750 -queue 128 -workers 8 -cache-entries 8192
 //	sptd -addr :8750 -timeout 30s -cycles 500000000 -drain-timeout 20s
+//	sptd -addr :8750 -cache-bytes 268435456
 //	sptd -addr :8751 -node-id n1 -cluster-journal-root /srv/spt/journals \
 //	     -store-dir /srv/spt/store1
 //	sptd -addr :8752 -node-id n2 -join http://h1:8751 -advertise http://h2:8752 \
@@ -42,6 +43,14 @@
 // under -cluster-journal-root (atomic rename), adopts its jobs, and
 // restores its journaled results into the store. See ARCHITECTURE.md,
 // "Distributed operation".
+//
+// Memory: every trace is captured by the interpreter into a recording on
+// the Go heap, and -cache-bytes (default 512 MiB, -1 = unbounded) bounds the
+// recordings the artifact cache keeps. sptd sets the runtime's GC percent
+// to 25 and, when the bound is set, its soft memory limit to -cache-bytes
+// plus 256 MiB; GOGC or GOMEMLIMIT in the environment overrides the
+// matching setting. -native-cache-dir is accepted for compatibility and
+// ignored.
 package main
 
 import (
@@ -54,6 +63,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"runtime/debug"
 	"strings"
 	"syscall"
 	"time"
@@ -61,7 +71,6 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/cluster"
 	"repro/internal/guard"
-	"repro/internal/nativecap"
 	"repro/internal/service"
 )
 
@@ -82,13 +91,41 @@ func advertiseURL(advertise, addr string) string {
 	return "http://" + host + ":" + port
 }
 
+// memPolicy is the runtime memory configuration sptd applies at start;
+// a zero field leaves that runtime setting alone.
+type memPolicy struct {
+	gcPercent int
+	limit     int64
+}
+
+// memoryPolicy derives the runtime memory configuration from the recording
+// byte bound (0 = the default, negative = unbounded). Recording columns are
+// pointer-free and make up most of the heap, so a GC cycle costs little
+// more with them present, while the default GOGC=100 would reserve as much
+// memory again as they occupy: hence GC percent 25. The soft limit leaves
+// 256 MiB above the bound for everything else. GOGC and GOMEMLIMIT in the
+// environment win over the matching setting.
+func memoryPolicy(cacheBytes int64, getenv func(string) string) memPolicy {
+	var p memPolicy
+	if getenv("GOGC") == "" {
+		p.gcPercent = 25
+	}
+	if cacheBytes == 0 {
+		cacheBytes = service.DefaultCacheBytes
+	}
+	if cacheBytes > 0 && getenv("GOMEMLIMIT") == "" {
+		p.limit = cacheBytes + 256<<20
+	}
+	return p
+}
+
 func main() {
 	var (
 		addr         = flag.String("addr", "127.0.0.1:8750", "listen address")
 		queueCap     = flag.Int("queue", 64, "job queue bound (full queue answers 429)")
 		workers      = flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
 		cacheEntries = flag.Int("cache-entries", 4096, "artifact cache bound (LRU-evicted; -1 = unbounded)")
-		cacheBytes   = flag.Int64("cache-bytes", 1<<30, "trace recording cache byte bound (LRU-evicted; -1 = unbounded)")
+		cacheBytes   = flag.Int64("cache-bytes", service.DefaultCacheBytes, "trace recording cache byte bound (LRU-evicted; -1 = unbounded); also sets the soft memory limit to this plus 256 MiB")
 		timeout      = flag.Duration("timeout", 0, "default wall-clock budget per job stage (0 = unlimited)")
 		steps        = flag.Int64("budget", 0, "default architectural step budget per simulation (0 = unlimited)")
 		cycles       = flag.Int64("cycles", 0, "default cycle budget per simulation (0 = unlimited)")
@@ -98,9 +135,7 @@ func main() {
 		compactEvery = flag.Int("compact-every", 0, "auto-compact the journal after this many appends (0 = default 256, negative = manual only)")
 		chaosSeed    = flag.Int64("chaos-seed", 0, "enable the built-in chaos fault plan with this seed (0 = off)")
 		chaosPlan    = flag.String("chaos-plan", "", "JSON fault-plan file (overrides -chaos-seed's default plan)")
-		nativeCap    = flag.Bool("native-capture", true, "compile programs to native capture modules via the Go toolchain (silent interpreter fallback when unavailable)")
-		nativeDir    = flag.String("native-cache-dir", "", "native-capture module cache directory (empty = <tmp>/sptd-nativecap)")
-		nativeBytes  = flag.Int64("native-cache-bytes", 256<<20, "native-capture module cache byte bound (LRU-evicted)")
+		_            = flag.String("native-cache-dir", "", "ignored; accepted for compatibility (traces are always captured by the interpreter)")
 
 		nodeID      = flag.String("node-id", "", "this node's cluster name (enables cluster mode)")
 		joinSpec    = flag.String("join", "", "comma-separated seed URLs of existing members to gossip-join (empty = this node is the first seed)")
@@ -115,6 +150,13 @@ func main() {
 		testHooks   = flag.Bool("cluster-test-hooks", false, "mount POST /v1/gossip/block (partition testing only; never in production)")
 	)
 	flag.Parse()
+	pol := memoryPolicy(*cacheBytes, os.Getenv)
+	if pol.gcPercent != 0 {
+		debug.SetGCPercent(pol.gcPercent)
+	}
+	if pol.limit != 0 {
+		debug.SetMemoryLimit(pol.limit)
+	}
 
 	cfg := service.Config{
 		QueueCapacity: *queueCap,
@@ -142,18 +184,6 @@ func main() {
 			os.Exit(1)
 		}
 		cfg.Journal = jn
-	}
-	// Native capture is best-effort by design: a missing toolchain or an
-	// unbuildable module falls back to the interpreter per capture, so a
-	// construction failure (unusable cache dir) only disables the fast path.
-	if *nativeCap {
-		nc, err := nativecap.New(nativecap.Options{Dir: *nativeDir, MaxBytes: *nativeBytes})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "sptd: native capture disabled:", err)
-		} else {
-			cfg.Native = nc
-			defer nc.Close()
-		}
 	}
 	var injector *chaos.Injector
 	if *chaosPlan != "" {

@@ -317,19 +317,21 @@ func (c *Cache) Reset() {
 
 // enforceCapLocked evicts least-recently-used completed entries until the
 // cache fits its bound. Entries still computing are skipped: their waiters
-// hold the entry, and dropping it would duplicate in-flight work.
+// hold the entry, and dropping it would duplicate in-flight work. While
+// only the byte bound is over, unsized entries are skipped too: dropping
+// one frees no bytes and costs a recomputation.
 func (c *Cache) enforceCapLocked() {
 	if c.lru == nil {
 		return
 	}
-	over := func() bool {
-		return (c.max > 0 && len(c.entries) > c.max) ||
-			(c.maxBytes > 0 && c.curBytes > c.maxBytes)
-	}
-	for el := c.lru.Back(); el != nil && over(); {
+	for el := c.lru.Back(); el != nil; {
+		entriesOver := c.max > 0 && len(c.entries) > c.max
+		if !entriesOver && (c.maxBytes <= 0 || c.curBytes <= c.maxBytes) {
+			return
+		}
 		prev := el.Prev()
 		k := el.Value.(key)
-		if e, ok := c.entries[k]; ok && e.completed() {
+		if e, ok := c.entries[k]; ok && e.completed() && (entriesOver || e.bytes > 0) {
 			delete(c.entries, k)
 			c.lru.Remove(el)
 			e.elem = nil

@@ -6,6 +6,7 @@ package artifact
 import (
 	"testing"
 
+	"repro/internal/compiler"
 	"repro/internal/ir"
 	"repro/internal/trace"
 )
@@ -96,6 +97,47 @@ func TestByteBoundLeavesUnsizedAlone(t *testing.T) {
 	st := c.Stats()
 	if st.Evictions != 0 || st.Entries != 5 {
 		t.Fatalf("unsized artifacts were evicted by the byte bound: %+v", st)
+	}
+}
+
+// TestByteBoundEvictsOnlySizedEntries: recordings pushing the cache over
+// its byte bound evict recordings only. The program and its compilation
+// sit at the cold end of the LRU list but count no bytes, so dropping them
+// would free nothing and force a rebuild on the next request.
+func TestByteBoundEvictsOnlySizedEntries(t *testing.T) {
+	one := syntheticRecording(10).Bytes()
+	c := NewBoundedBytes(4096, 2*one+one/2)
+	builds, compiles := 0, 0
+	program := func() *ir.Program {
+		p, err := c.Program("p", 1, "opt", func() (*ir.Program, error) { builds++; return tinyProgram(100), nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	compile := func(p *ir.Program) {
+		if _, err := c.CompileResult(p, "default", func() (*compiler.Result, error) {
+			compiles++
+			return &compiler.Result{Program: p}, nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	compile(program())
+	for imm := int64(1); imm <= 4; imm++ {
+		if _, err := c.Recording(tinyProgram(imm), 0, func() (*trace.Recording, error) {
+			return syntheticRecording(10), nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Room for two of the four recordings: the two oldest go.
+	if got := c.Evictions(); got != 2 {
+		t.Fatalf("Evictions() = %d; want 2 (recordings only)", got)
+	}
+	compile(program())
+	if builds != 1 || compiles != 1 {
+		t.Fatalf("program built %d times, compiled %d times; want 1 each (never evicted)", builds, compiles)
 	}
 }
 

@@ -105,18 +105,6 @@ func ringHash(s string) uint64 {
 	return h.Sum64()
 }
 
-// Members returns every member name, alive or dead, sorted.
-func (r *Ring) Members() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.alive))
-	for m := range r.alive {
-		out = append(out, m)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Alive returns the currently-alive member names, sorted.
 func (r *Ring) Alive() []string {
 	r.mu.RLock()
@@ -197,26 +185,4 @@ func (r *Ring) Successors(key string, n int) []string {
 		out = append(out, p.node)
 	}
 	return out
-}
-
-// Successor returns the alive member that inherits dead's arcs for key
-// purposes — the first alive member clockwise from dead's primary point.
-// It is the deterministic "who should steal dead's work" answer every node
-// with the same alive view computes identically. ok is false when nobody is
-// alive or dead is unknown.
-func (r *Ring) Successor(dead string) (string, bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if _, known := r.alive[dead]; !known || len(r.points) == 0 {
-		return "", false
-	}
-	h := ringHash(fmt.Sprintf("%s#%d", dead, 0))
-	start := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash > h })
-	for i := 0; i < len(r.points); i++ {
-		p := r.points[(start+i)%len(r.points)]
-		if p.node != dead && r.alive[p.node] {
-			return p.node, true
-		}
-	}
-	return "", false
 }

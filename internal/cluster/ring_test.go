@@ -95,24 +95,6 @@ func TestRingOwnerNoneAlive(t *testing.T) {
 	}
 }
 
-func TestRingSuccessorDeterministic(t *testing.T) {
-	r1 := NewRing([]string{"n1", "n2", "n3"}, 0)
-	r2 := NewRing([]string{"n2", "n3", "n1"}, 0)
-	s1, ok1 := r1.Successor("n2")
-	s2, ok2 := r2.Successor("n2")
-	if !ok1 || !ok2 || s1 != s2 || s1 == "n2" {
-		t.Fatalf("successor views disagree: (%s,%v) vs (%s,%v)", s1, ok1, s2, ok2)
-	}
-	// The answer survives the death it is consulted for.
-	r1.SetAlive("n2", false)
-	if s, ok := r1.Successor("n2"); !ok || s != s1 {
-		t.Fatalf("successor changed when n2 died: %s, want %s", s, s1)
-	}
-	if _, ok := r1.Successor("ghost"); ok {
-		t.Fatal("successor for an unknown member")
-	}
-}
-
 // TestRingAddConvergesWithConstruction: a ring grown with Add answers
 // identically to one constructed with the full member list — joins need no
 // coordination because point positions depend only on the name.

@@ -26,7 +26,6 @@ import (
 	"repro/internal/interp"
 	"repro/internal/ir"
 	"repro/internal/multispec"
-	"repro/internal/nativecap"
 	"repro/internal/opt"
 	"repro/internal/profiler"
 	"repro/internal/trace"
@@ -145,7 +144,7 @@ func simulate(ctx context.Context, opts GuardOptions, p *ir.Program, cfgs []arch
 	}
 	limit := cfgs[0].StepLimit
 	rec, err := opts.Artifacts.Recording(p, limit, func() (*trace.Recording, error) {
-		return opts.Native.Capture(ctx, p, lp, limit)
+		return arch.RecordTrace(ctx, lp, limit)
 	})
 	if err != nil {
 		return fail(err)
@@ -195,11 +194,6 @@ type GuardOptions struct {
 	// distinct benchmarks) leave it off and keep the live interpreter feed.
 	// Without Artifacts the live feed runs either way.
 	RecordTraces bool
-	// Native, when non-nil, routes trace captures through compiled native
-	// modules (internal/nativecap) instead of the interpreter. The capturer
-	// guarantees silent interpreter fallback on any failure, so enabling it
-	// can change capture latency but never results.
-	Native *nativecap.Capturer
 }
 
 // Report is the outcome of a guarded whole-suite evaluation: the runs that

@@ -1,16 +1,11 @@
+// Package nativecap keeps the API of the former native trace capturer for
+// the frozen benchmark in perfbench/ only, until that benchmark is revised
+// in its own declared change. Every capture runs the interpreter recorder
+// (arch.RecordTrace) and Stats is always zero. Nothing else may import it.
 package nativecap
 
 import (
 	"context"
-	"errors"
-	"fmt"
-	"os"
-	"os/exec"
-	"path/filepath"
-	"strings"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"repro/internal/arch"
 	"repro/internal/interp"
@@ -18,330 +13,35 @@ import (
 	"repro/internal/trace"
 )
 
-// Options configure a Capturer. The zero value is usable: a default cache
-// directory under the system temp dir, a 256 MiB module budget, the first
-// `go` on PATH, and differential verification enabled.
+// Options is accepted for compatibility; Dir is ignored.
 type Options struct {
-	// Dir is the module cache directory. Defaults to
-	// <os.TempDir()>/sptd-nativecap.
 	Dir string
-	// MaxBytes bounds the on-disk module cache; least-recently-used modules
-	// are evicted past it. Defaults to 256 MiB.
-	MaxBytes int64
-	// GoTool is the path of the Go toolchain used to build modules. Empty
-	// means look up "go" on PATH at construction time; a missing toolchain
-	// is not an error — every capture falls back to the interpreter with
-	// reason "no-toolchain".
-	GoTool string
-	// MaxWorkers bounds resident worker subprocesses. Defaults to 4.
-	MaxWorkers int
-	// DisableVerify trusts native captures without the first-use
-	// differential interpreter run. Tests use it to measure the native path
-	// in isolation; production keeps it false.
-	DisableVerify bool
 }
 
-// Stats is a point-in-time snapshot of capture outcomes.
+// Stats counts native captures and fallbacks; with no native path every
+// field stays zero.
 type Stats struct {
-	Native              int64 // captures served by a native module
+	Native              int64
 	FallbackNoToolchain int64
 	FallbackBuildError  int64
 	FallbackRunError    int64
-	FallbackMismatch    int64 // oracle mismatches and quarantined reuse
-	Modules             int   // modules currently on disk
-	ModuleBytes         int64 // bytes used by the module cache
-	Evictions           int64
+	FallbackMismatch    int64
 }
 
-// Capturer owns the module cache and the resident workers, and decides per
-// capture whether the native path can be trusted. It is safe for concurrent
-// use. A nil Capturer is valid and always uses the interpreter.
-type Capturer struct {
-	dir           string
-	tmpDir        string
-	maxBytes      int64
-	maxWorkers    int
-	goTool        string
-	goToolErr     error
-	disableVerify bool
+// Capturer records traces through the interpreter.
+type Capturer struct{}
 
-	// test hooks
-	genOpts      genOptions
-	tamperSource func([]byte) []byte
+// New returns a Capturer; it never fails.
+func New(Options) (*Capturer, error) { return &Capturer{}, nil }
 
-	mu          sync.Mutex
-	modules     map[string]*module
-	moduleBytes int64
-	evictions   int64
-
-	native              atomic.Int64
-	fallbackNoToolchain atomic.Int64
-	fallbackBuildError  atomic.Int64
-	fallbackRunError    atomic.Int64
-	fallbackMismatch    atomic.Int64
+// Capture records one execution trace of lp, bounded by stepLimit when it
+// is positive.
+func (*Capturer) Capture(ctx context.Context, _ *ir.Program, lp *interp.Program, stepLimit int64) (*trace.Recording, error) {
+	return arch.RecordTrace(ctx, lp, stepLimit)
 }
 
-// New creates a Capturer, restoring any modules a previous process left in
-// the cache directory (their verification verdicts persist in meta.json)
-// and clearing stale capture temp files.
-func New(opts Options) (*Capturer, error) {
-	dir := opts.Dir
-	if dir == "" {
-		dir = filepath.Join(os.TempDir(), "sptd-nativecap")
-	}
-	maxBytes := opts.MaxBytes
-	if maxBytes <= 0 {
-		maxBytes = 256 << 20
-	}
-	maxWorkers := opts.MaxWorkers
-	if maxWorkers <= 0 {
-		maxWorkers = 4
-	}
-	c := &Capturer{
-		dir:           dir,
-		tmpDir:        filepath.Join(dir, "tmp"),
-		maxBytes:      maxBytes,
-		maxWorkers:    maxWorkers,
-		goTool:        opts.GoTool,
-		disableVerify: opts.DisableVerify,
-		modules:       make(map[string]*module),
-	}
-	if c.goTool == "" {
-		c.goTool, c.goToolErr = exec.LookPath("go")
-	} else if _, err := os.Stat(c.goTool); err != nil {
-		c.goToolErr = err
-	}
-	if !mmapSupported && c.goToolErr == nil {
-		// No shared-memory hand-off means no native path at all; report it
-		// through the same always-fallback gate as a missing toolchain.
-		c.goToolErr = errors.New("nativecap: shared-memory capture unsupported on this platform")
-	}
-	if err := os.MkdirAll(c.tmpDir, 0o755); err != nil {
-		return nil, err
-	}
-	// Stale capture files from a crashed process are garbage by definition.
-	if ents, err := os.ReadDir(c.tmpDir); err == nil {
-		for _, e := range ents {
-			_ = os.Remove(filepath.Join(c.tmpDir, e.Name()))
-		}
-	}
-	// Re-adopt modules built by earlier processes so verdicts and the byte
-	// accounting survive restarts.
-	if ents, err := os.ReadDir(dir); err == nil {
-		for _, e := range ents {
-			name := e.Name()
-			if !e.IsDir() || !strings.HasPrefix(name, "m-") {
-				continue
-			}
-			m := &module{key: strings.TrimPrefix(name, "m-"), dir: filepath.Join(dir, name), lastUse: time.Now()}
-			m.loadMeta()
-			if st, err := os.Stat(filepath.Join(m.dir, "bin")); err == nil && st.Size() > 0 {
-				m.built = true
-			}
-			c.modules[m.key] = m
-			c.moduleBytes += m.meta.Bytes
-		}
-	}
-	c.evictModules()
-	return c, nil
-}
+// Stats returns the zero Stats.
+func (*Capturer) Stats() Stats { return Stats{} }
 
-// Close kills every resident worker and releases the capture arenas (slots
-// still aliased by live Recordings are unmapped when those are released).
-// The on-disk module cache is left for the next process.
-func (c *Capturer) Close() {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	mods := make([]*module, 0, len(c.modules))
-	for _, m := range c.modules {
-		mods = append(mods, m)
-	}
-	c.mu.Unlock()
-	for _, m := range mods {
-		m.mu.Lock()
-		if m.worker != nil {
-			m.worker.kill()
-			m.worker = nil
-		}
-		if m.arenas != nil {
-			m.arenas.close()
-			m.arenas = nil
-		}
-		m.mu.Unlock()
-	}
-}
-
-// Stats returns a snapshot of capture counters and cache occupancy.
-func (c *Capturer) Stats() Stats {
-	if c == nil {
-		return Stats{}
-	}
-	c.mu.Lock()
-	mods := len(c.modules)
-	bytes := c.moduleBytes
-	ev := c.evictions
-	c.mu.Unlock()
-	return Stats{
-		Native:              c.native.Load(),
-		FallbackNoToolchain: c.fallbackNoToolchain.Load(),
-		FallbackBuildError:  c.fallbackBuildError.Load(),
-		FallbackRunError:    c.fallbackRunError.Load(),
-		FallbackMismatch:    c.fallbackMismatch.Load(),
-		Modules:             mods,
-		ModuleBytes:         bytes,
-		Evictions:           ev,
-	}
-}
-
-func (c *Capturer) moduleFor(p *ir.Program) *module {
-	key := moduleKey(p, c.genOpts)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	m := c.modules[key]
-	if m == nil {
-		m = &module{key: key, dir: filepath.Join(c.dir, "m-"+key)}
-		c.modules[key] = m
-	}
-	return m
-}
-
-// Capture records one full execution trace of p, natively when a trusted
-// module exists (building and verifying one on first use) and via the
-// interpreter otherwise. The contract is absolute: any native-path problem
-// short of a context cancellation degrades silently to the interpreter —
-// callers cannot observe a difference except in the Stats counters.
-//
-// lp must be the loaded form of p (callers already hold it). stepLimit > 0
-// bounds the run with interp.ErrStepLimit parity.
-func (c *Capturer) Capture(ctx context.Context, p *ir.Program, lp *interp.Program, stepLimit int64) (*trace.Recording, error) {
-	if c == nil {
-		return arch.RecordTrace(ctx, lp, stepLimit)
-	}
-	if c.goToolErr != nil {
-		c.fallbackNoToolchain.Add(1)
-		return arch.RecordTrace(ctx, lp, stepLimit)
-	}
-	m := c.moduleFor(p)
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.lastUse = time.Now()
-	if m.meta.Quarantined {
-		c.fallbackMismatch.Add(1)
-		return arch.RecordTrace(ctx, lp, stepLimit)
-	}
-	if err := c.ensureBuilt(ctx, m, lp); err != nil {
-		if ctx.Err() != nil {
-			return nil, fmt.Errorf("interp: run interrupted: %w", ctx.Err())
-		}
-		c.fallbackBuildError.Add(1)
-		return arch.RecordTrace(ctx, lp, stepLimit)
-	}
-	res, reply, err := c.runNative(ctx, m, stepLimit)
-	if err != nil {
-		if ctx.Err() != nil {
-			return nil, fmt.Errorf("interp: run interrupted: %w", ctx.Err())
-		}
-		c.fallbackRunError.Add(1)
-		return arch.RecordTrace(ctx, lp, stepLimit)
-	}
-
-	if m.meta.Verified || c.disableVerify {
-		switch reply.kind {
-		case "ok":
-			c.native.Add(1)
-			return res.rec, nil
-		case "limit":
-			c.native.Add(1)
-			return nil, interp.ErrStepLimit
-		default:
-			// Fault: the run is going to fail either way; rerun the
-			// interpreter for the canonical error text. Not counted as a
-			// native capture since the interpreter produced the answer.
-			return arch.RecordTrace(ctx, lp, stepLimit)
-		}
-	}
-
-	// First use of an unverified module: differential oracle. Run the
-	// interpreter side by side and only trust (and persist) the module when
-	// both paths agree bit-for-bit.
-	irec, ierr := arch.RecordTrace(ctx, lp, stepLimit)
-	if ctx.Err() != nil {
-		// Cancellation mid-oracle proves nothing; no verdict either way.
-		if res != nil {
-			res.rec.Release()
-		}
-		return irec, ierr
-	}
-	switch {
-	case reply.kind == "ok" && ierr == nil &&
-		res.rec.Checksum() == irec.Checksum() && res.rec.Steps() == irec.Steps():
-		m.meta.Verified = true
-		m.saveMeta()
-		irec.Release()
-		c.native.Add(1)
-		return res.rec, nil
-	case reply.kind == "limit" && errors.Is(ierr, interp.ErrStepLimit):
-		// Consistent limit outcomes carry no checksum to compare; stay
-		// unverified and report the interpreter's canonical error.
-		return nil, ierr
-	case reply.kind == "fault" && ierr != nil && !errors.Is(ierr, interp.ErrStepLimit):
-		return nil, ierr
-	default:
-		// Checksum or outcome-class divergence: the generated code is wrong
-		// for this program. Quarantine the module so it is never consulted
-		// again and serve the interpreter's result.
-		m.meta.Quarantined = true
-		m.saveMeta()
-		if res != nil {
-			res.rec.Release()
-		}
-		c.fallbackMismatch.Add(1)
-		return irec, ierr
-	}
-}
-
-// runNative performs one worker round-trip under m.mu, respawning a dead
-// worker at most once. On "ok" the returned result's Recording aliases the
-// shared arena; the arena slot is held until the Recording is released.
-func (c *Capturer) runNative(ctx context.Context, m *module, stepLimit int64) (*captureResult, *workerReply, error) {
-	var reply *workerReply
-	var idx int
-	for attempt := 0; ; attempt++ {
-		w, err := c.ensureWorker(m)
-		if err != nil {
-			return nil, nil, err
-		}
-		idx = m.arenas.acquire()
-		if idx < 0 {
-			return nil, nil, errArenasBusy
-		}
-		reply, err = w.capture(ctx, stepLimit, idx)
-		if err != nil {
-			m.arenas.release(idx)
-			m.worker = nil // capture killed it
-			if ctx.Err() != nil || attempt > 0 {
-				return nil, nil, err
-			}
-			continue // one respawn retry: the binary is verified-good on disk
-		}
-		break
-	}
-	if reply.kind != "ok" {
-		m.arenas.release(idx)
-		return nil, reply, nil
-	}
-	arenas := m.arenas
-	data, err := arenas.view(idx)
-	if err != nil {
-		arenas.release(idx)
-		return nil, nil, err
-	}
-	res, err := parseCapture(data, func() { arenas.release(idx) })
-	if err != nil {
-		// parseCapture released the arena on failure.
-		return nil, nil, err
-	}
-	return res, reply, nil
-}
+// Close does nothing.
+func (*Capturer) Close() {}

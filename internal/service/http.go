@@ -120,9 +120,6 @@ func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	s.met.render(w, s.gaugesNow())
-	// Nil-safe: a daemon without native capture scrapes the same series
-	// with zero values, so dashboards never see a metric appear mid-flight.
-	s.cfg.Native.WriteMetrics(w)
 	if s.cfg.ExtraMetrics != nil {
 		s.cfg.ExtraMetrics(w)
 	}
@@ -214,7 +211,11 @@ func decodeRequest(w http.ResponseWriter, r *http.Request, dst any) bool {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
-		writeError(w, http.StatusBadRequest, client.ErrorBody{Error: "bad request body: " + err.Error()})
+		status := http.StatusBadRequest
+		if mbe := (*http.MaxBytesError)(nil); errors.As(err, &mbe) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, status, client.ErrorBody{Error: "bad request body: " + err.Error()})
 		return false
 	}
 	return true

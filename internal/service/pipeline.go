@@ -10,7 +10,6 @@ import (
 	"repro/internal/guard"
 	"repro/internal/harness"
 	"repro/internal/multispec"
-	"repro/internal/nativecap"
 	"repro/spt/client"
 )
 
@@ -30,10 +29,6 @@ type Pipeline interface {
 // served from memory.
 type sptPipeline struct {
 	cache *artifact.Cache
-	// native, when non-nil, serves trace captures from compiled modules
-	// (internal/nativecap). Fallback to the interpreter is silent and
-	// result-identical, so the pipeline passes it through unconditionally.
-	native *nativecap.Capturer
 }
 
 // Compile builds and SPT-compiles the benchmark, reporting per-loop
@@ -89,7 +84,6 @@ func (p *sptPipeline) Simulate(ctx context.Context, req client.SimulateRequest, 
 		// captured traces fan out across later simulate/sweep requests for
 		// the same benchmark.
 		RecordTraces: true,
-		Native:       p.native,
 	})
 	if err != nil {
 		return nil, err
@@ -112,7 +106,6 @@ func (p *sptPipeline) Sweep(ctx context.Context, req client.SweepRequest, budget
 	rows, err := harness.Sweep(ctx, req.Benchmark, scaleOf(req.Scale), variants, harness.GuardOptions{
 		Budget:    budget,
 		Artifacts: p.cache,
-		Native:    p.native,
 	})
 	wireRows, err := sweepRows(rows, err)
 	if err != nil {

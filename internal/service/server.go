@@ -34,9 +34,12 @@ import (
 	"repro/internal/artifact"
 	"repro/internal/guard"
 	"repro/internal/harness"
-	"repro/internal/nativecap"
 	"repro/spt/client"
 )
+
+// DefaultCacheBytes is the default byte bound on cached trace recordings,
+// shared by Config and sptd's -cache-bytes flag.
+const DefaultCacheBytes = 512 << 20
 
 // Config sizes the daemon. Zero values take the documented defaults.
 type Config struct {
@@ -52,10 +55,12 @@ type Config struct {
 	// LRU-evicted; negative = unbounded).
 	CacheEntries int
 	// CacheBytes bounds the resident bytes of cached trace recordings
-	// (default 1 GiB, LRU-evicted; negative = unbounded). Recordings let
-	// concurrent requests for the same program coalesce onto a single
-	// interpretation, but a multi-hundred-MB trace must never pin the
-	// daemon's memory — the byte bound, not the entry bound, governs them.
+	// (default DefaultCacheBytes, LRU-evicted; negative = unbounded).
+	// Recordings let concurrent requests for the same program coalesce
+	// onto a single interpretation, but a multi-hundred-MB trace must
+	// never pin the daemon's memory — the byte bound, not the entry bound,
+	// governs them. Recordings live on the Go heap; sptd derives the
+	// runtime's GC percent and soft memory limit from this bound.
 	CacheBytes int64
 	// RetainJobs bounds how many finished jobs stay pollable via
 	// GET /v1/jobs/{id} (default 512, FIFO-evicted).
@@ -87,11 +92,6 @@ type Config struct {
 	// ExtraMetrics, when non-nil, is rendered at the end of every /metrics
 	// scrape (the chaos injector publishes its fault counters through it).
 	ExtraMetrics func(io.Writer)
-	// Native, when non-nil, routes the pipeline's trace captures through
-	// compiled native modules (internal/nativecap). The capturer falls
-	// back to the interpreter silently on any failure, so enabling it
-	// never changes results. The caller owns its lifecycle (Close).
-	Native *nativecap.Capturer
 }
 
 func (c Config) withDefaults() Config {
@@ -108,7 +108,7 @@ func (c Config) withDefaults() Config {
 		c.CacheEntries = 0 // unbounded
 	}
 	if c.CacheBytes == 0 {
-		c.CacheBytes = 1 << 30
+		c.CacheBytes = DefaultCacheBytes
 	}
 	if c.CacheBytes < 0 {
 		c.CacheBytes = 0 // unbounded
@@ -179,7 +179,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.pipe = cfg.Pipeline
 	if s.pipe == nil {
-		s.pipe = &sptPipeline{cache: s.cache, native: cfg.Native}
+		s.pipe = &sptPipeline{cache: s.cache}
 	}
 	if cfg.WrapPipeline != nil {
 		s.pipe = cfg.WrapPipeline(s.pipe)

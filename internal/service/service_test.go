@@ -405,6 +405,22 @@ func TestBadRequestsAreRejectedAtAdmission(t *testing.T) {
 	}
 }
 
+// TestOversizedBodyRejectedWith413: a standalone node answers a body over
+// the 1 MiB admission limit the way a clustered node's forwarder does.
+func TestOversizedBodyRejectedWith413(t *testing.T) {
+	_, ts, _ := startServer(t, Config{Workers: 1, Pipeline: &stubPipeline{}})
+	body := `{"benchmark":"` + strings.Repeat("a", 1<<20) + `"}`
+	resp := simulateJSON(t, ts.URL, body)
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("status %d; want 413", resp.StatusCode)
+	}
+	var eb client.ErrorBody
+	if err := json.NewDecoder(resp.Body).Decode(&eb); err != nil || eb.Error == "" {
+		t.Fatalf("error body %+v, %v; want a client.ErrorBody", eb, err)
+	}
+}
+
 func TestMetricsExposition(t *testing.T) {
 	stub := &stubPipeline{}
 	_, _, cl := startServer(t, Config{Workers: 2, QueueCapacity: 7, Pipeline: stub})
@@ -426,14 +442,13 @@ func TestMetricsExposition(t *testing.T) {
 		"sptd_stage_latency_seconds_count{stage=\"simulate\"}",
 		"sptd_spec_commits_total{kind=\"fast\"}", "sptd_spec_commits_total{kind=\"replay\"}",
 		"sptd_spec_squashes_total{cause=\"violation\"}", "sptd_spec_squashes_total{cause=\"eager\"}",
-		// Native-capture counters render zero-valued even with no capturer
-		// configured, so dashboards see a stable series set.
-		"sptd_capture_native_total", "sptd_capture_fallback_total{reason=\"no-toolchain\"}",
-		"sptd_capture_fallback_total{reason=\"mismatch\"}", "sptd_capture_module_cache_bytes",
 	} {
 		if !strings.Contains(m, want) {
 			t.Errorf("metrics exposition missing %q", want)
 		}
+	}
+	if strings.Contains(m, "sptd_capture_") {
+		t.Error("metrics exposition still carries sptd_capture_ series")
 	}
 	if v, ok := client.MetricValue(m, `sptd_jobs_total{outcome="ok"}`); !ok || v != 1 {
 		t.Errorf("ok jobs metric = %v %v; want 1", v, ok)

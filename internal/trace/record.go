@@ -20,11 +20,6 @@ import (
 // bookkeeping, small enough that pooling them bounds fragmentation.
 const chunkEvents = 1 << 15
 
-// ChunkEvents exposes the chunk capacity to external producers
-// (AssembleExternal) whose storage layout must mirror the recorder's
-// chunking to yield bit-identical checksums.
-const ChunkEvents = chunkEvents
-
 // replayCtxMask mirrors the interpreter's cadence: the replay context is
 // polled every time the low bits of the event index wrap.
 const replayCtxMask = 1<<10 - 1
@@ -49,13 +44,6 @@ type chunk struct {
 	snapAt   []int32
 	snapOff  []int32
 	snapData []int64
-
-	// noPool marks chunks whose columns alias externally owned storage
-	// (e.g. a memory-mapped capture file). Release must not return them to
-	// the pool: a pooled chunk would hand the mapping to an unrelated
-	// recorder, and the mapping itself is reclaimed by the recording's
-	// release hook instead.
-	noPool bool
 }
 
 var chunkPool = sync.Pool{New: func() any {
@@ -114,11 +102,6 @@ type Recording struct {
 	// benign.
 	sum   atomic.Uint64
 	sumOK atomic.Bool
-
-	// onRelease, when set, reclaims externally owned column storage
-	// (munmap of a capture file) after the chunks are detached. Installed
-	// by AssembleExternal; nil for recorder-built recordings.
-	onRelease func()
 
 	releaseOnce sync.Once
 }
@@ -254,9 +237,6 @@ func (r *Recording) Release() {
 	}
 	r.releaseOnce.Do(func() {
 		for _, c := range r.chunks {
-			if c.noPool {
-				continue
-			}
 			chunkPool.Put(c)
 		}
 		r.chunks = nil
@@ -264,10 +244,6 @@ func (r *Recording) Release() {
 		r.steps = 0
 		r.complete = false
 		r.sumOK.Store(false)
-		if r.onRelease != nil {
-			r.onRelease()
-			r.onRelease = nil
-		}
 	})
 }
 
