@@ -403,6 +403,65 @@ func BenchmarkSweepBroadcast(b *testing.B) {
 	}
 }
 
+// BenchmarkEngineMix measures the engine work of a sweep fan-out: for each
+// of bzip2, crafty, gcc, gzip and parser, one 4-variant broadcast bank per
+// sweep family — SRB sizes, fork/commit overheads, core counts 5-8, and the
+// scheduling policies at 4 cores. Recording and compilation happen once,
+// outside the timer, as they do for a warmed sweep; an op is all 20 banks.
+// Against BenchmarkSweepBroadcast (parser, 2-core SRB variants only) it
+// weights the multi-core chain and runSpec the way sweep traffic does.
+func BenchmarkEngineMix(b *testing.B) {
+	type bank struct {
+		lp   *interp.Program
+		rec  *trace.Recording
+		cfgs []arch.Config
+	}
+	var families [][]harness.Variant
+	families = append(families,
+		harness.SRBVariants([]int{512, 1024, 1536, 2048}),
+		harness.OverheadVariants([]int{2, 8, 16, 64}),
+		harness.CoresVariants([]int{5, 6, 7, 8}),
+		harness.SchedVariants(4, []int{2, 8}))
+	var banks []bank
+	for _, name := range []string{"bzip2", "crafty", "gcc", "gzip", "parser"} {
+		cres, err := compiler.Compile(spt.Benchmark(name, benchScale), bench.CompilerOptions(name))
+		if err != nil {
+			b.Fatal(err)
+		}
+		lp, err := interp.Load(cres.Program)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rec, err := arch.RecordTrace(context.Background(), lp, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer rec.Release()
+		for _, vs := range families {
+			bk := bank{lp: lp, rec: rec}
+			for _, v := range vs {
+				bk.cfgs = append(bk.cfgs, v.Config)
+			}
+			banks = append(banks, bk)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, bk := range banks {
+			stats, errs := arch.RunRecordedMulti(context.Background(), bk.lp, bk.rec, bk.cfgs)
+			for v := range bk.cfgs {
+				if errs[v] != nil {
+					b.Fatal(errs[v])
+				}
+				if stats[v].Cycles <= 0 {
+					b.Fatalf("variant %d returned no cycles", v)
+				}
+			}
+		}
+	}
+}
+
 // BenchmarkMultiSpec measures the N-core CMP speculation engine: the same
 // compiled benchmark simulated with 2, 4 and 8 speculation cores under the
 // default in-order next-iteration scheduler. ns/op tracks how simulation

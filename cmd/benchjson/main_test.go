@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"regexp"
+	"strings"
 	"testing"
 )
 
@@ -104,9 +105,12 @@ func TestCompareReports(t *testing.T) {
 		"BenchmarkOnlyNew":          10,
 	})
 
-	ds := compareReports(oldRep, newRep, nil)
+	ds, unbased := compareReports(oldRep, newRep, nil)
 	if len(ds) != 2 {
 		t.Fatalf("compared %d benchmarks; want 2 (the common set)", len(ds))
+	}
+	if !reflect.DeepEqual(unbased, []string{"BenchmarkOnlyNew"}) {
+		t.Errorf("unbased = %v; want [BenchmarkOnlyNew]", unbased)
 	}
 	// Sorted worst-first.
 	if ds[0].name != "BenchmarkAblationSRB" || ds[0].pct != 200 {
@@ -117,7 +121,7 @@ func TestCompareReports(t *testing.T) {
 	}
 
 	re := regexp.MustCompile("Recovery$")
-	if ds := compareReports(oldRep, newRep, re); len(ds) != 1 || ds[0].name != "BenchmarkAblationRecovery" {
+	if ds, _ := compareReports(oldRep, newRep, re); len(ds) != 1 || ds[0].name != "BenchmarkAblationRecovery" {
 		t.Errorf("filtered compare = %+v; want just BenchmarkAblationRecovery", ds)
 	}
 }
@@ -172,6 +176,79 @@ func TestRunCompareGate(t *testing.T) {
 	}
 	if code := runCompare(filepath.Join(dir, "missing.json"), okPath, "", 25); code != 1 {
 		t.Errorf("missing old report exited %d; want 1", code)
+	}
+}
+
+// TestFoldCountSamples: -count=N lines of one benchmark fold into a row of
+// medians and interquartile ranges; single lines pass through unchanged.
+func TestFoldCountSamples(t *testing.T) {
+	text := `BenchmarkA-2  1  100 ns/op  10 allocs/op
+BenchmarkB-2  1  7 ns/op
+BenchmarkA-2  1  300 ns/op  10 allocs/op
+BenchmarkA-2  1  110 ns/op  10 allocs/op
+BenchmarkA-2  1  120 ns/op  10 allocs/op
+ok  	repro	1.5s
+`
+	rep, err := readReport(strings.NewReader(text))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Benchmarks) != 2 || rep.Benchmarks[0].Name != "BenchmarkA" || rep.Benchmarks[1].Name != "BenchmarkB" {
+		t.Fatalf("benchmarks = %+v; want BenchmarkA then BenchmarkB", rep.Benchmarks)
+	}
+	a := rep.Benchmarks[0]
+	// Sorted ns/op 100 110 120 300: median 115, Q1 107.5, Q3 165.
+	if a.Runs != 4 || a.Metrics["ns/op"] != 115 || a.IQR["ns/op"] != 57.5 {
+		t.Errorf("BenchmarkA = %+v; want 4 runs, median 115, IQR 57.5", a)
+	}
+	if a.Metrics["allocs/op"] != 10 || a.IQR["allocs/op"] != 0 {
+		t.Errorf("BenchmarkA allocs = %v ± %v; want 10 ± 0", a.Metrics["allocs/op"], a.IQR["allocs/op"])
+	}
+	if b := rep.Benchmarks[1]; b.Runs != 0 || b.IQR != nil || b.Metrics["ns/op"] != 7 {
+		t.Errorf("single-sample BenchmarkB = %+v; want it unchanged", b)
+	}
+
+	// The folded row survives the JSON round trip that -o and -compare use.
+	path := writeReport(t, t.TempDir(), "rep.json", rep)
+	back, err := loadReport(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(back.Benchmarks, rep.Benchmarks) {
+		t.Errorf("round trip = %+v; want %+v", back.Benchmarks, rep.Benchmarks)
+	}
+}
+
+// TestCompareGatesMedian: the gate judges the median of -count samples, so
+// one slow outlier passes while a regressed median fails at the same
+// threshold, and the printed spread comes from the new samples.
+func TestCompareGatesMedian(t *testing.T) {
+	oldRep := report(map[string]float64{"BenchmarkA": 100})
+	samples := func(ns ...float64) Report {
+		var bs []Benchmark
+		for _, v := range ns {
+			bs = append(bs, Benchmark{Name: "BenchmarkA", Iterations: 1, Metrics: map[string]float64{"ns/op": v}})
+		}
+		return Report{Benchmarks: fold(bs)}
+	}
+	ds, _ := compareReports(oldRep, samples(105, 400, 110), nil)
+	if len(ds) != 1 || ds[0].new != 110 || ds[0].pct != 10 {
+		t.Fatalf("outlier compare = %+v; want median 110, +10%%", ds)
+	}
+	// IQR of 105 110 400 is 255-107.5 = 147.5, i.e. 134% of the median.
+	if got := ds[0].spread; got < 134 || got > 134.2 {
+		t.Errorf("spread = %v%%; want ~134.1%%", got)
+	}
+
+	dir := t.TempDir()
+	oldPath := writeReport(t, dir, "old.json", oldRep)
+	outlier := writeReport(t, dir, "outlier.json", samples(105, 400, 110))
+	regressed := writeReport(t, dir, "regressed.json", samples(130, 140, 90))
+	if code := runCompare(oldPath, outlier, "", 25); code != 0 {
+		t.Errorf("median +10%% with one outlier exited %d; want 0", code)
+	}
+	if code := runCompare(oldPath, regressed, "", 25); code != 1 {
+		t.Errorf("median +30%% exited %d; want 1", code)
 	}
 }
 

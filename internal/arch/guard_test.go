@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 
+	"repro/internal/ir"
 	"repro/internal/trace"
 )
 
@@ -115,6 +116,85 @@ func TestCorruptTraceEvent(t *testing.T) {
 		_, err := m.Run()
 		if !errors.Is(err, ErrCorruptTrace) {
 			t.Fatalf("err = %v, want ErrCorruptTrace", err)
+		}
+	}
+}
+
+// buildNestedCalls: main calls leaf, then mid, which calls leaf again, n
+// times over — so a retired activation id lies below a live one whenever
+// mid's callee opens.
+func buildNestedCalls(n int64) *ir.Program {
+	leaf := ir.NewFuncBuilder("leaf", 1)
+	r := leaf.NewReg()
+	leaf.Block("entry")
+	leaf.MulI(r, leaf.Param(0), 3)
+	leaf.Ret(r)
+
+	mid := ir.NewFuncBuilder("mid", 1)
+	m := mid.NewReg()
+	mid.Block("entry")
+	mid.Call(m, "leaf", mid.Param(0))
+	mid.AddI(m, m, 1)
+	mid.Ret(m)
+
+	b := ir.NewFuncBuilder("main", 0)
+	i, s, c, z, v := b.NewReg(), b.NewReg(), b.NewReg(), b.NewReg(), b.NewReg()
+	b.Block("entry")
+	b.MovI(i, n)
+	b.MovI(s, 0)
+	b.MovI(z, 0)
+	b.Jmp("head")
+	b.Block("head")
+	b.ALU(ir.CmpGT, c, i, z)
+	b.Br(c, "body", "exit")
+	b.Block("body")
+	b.Call(v, "leaf", i)
+	b.ALU(ir.Xor, s, s, v)
+	b.Call(v, "mid", i)
+	b.ALU(ir.Add, s, s, v)
+	b.AddI(i, i, -1)
+	b.Jmp("head")
+	b.Block("exit")
+	b.Ret(s)
+	return ir.NewProgramBuilder("main").AddFunc(leaf.Done()).AddFunc(mid.Done()).AddFunc(b.Done()).Done()
+}
+
+// TestNonMonotonicFrameIsCorrupt: activations are numbered in call order,
+// so an event that opens an activation with an id below the innermost
+// live one cannot come from a real execution. A middleware renames the
+// first such opportunity — a new callee — to a retired frame id under its
+// live caller; the engine must fail with ErrCorruptTrace, not panic or
+// simulate on.
+func TestNonMonotonicFrameIsCorrupt(t *testing.T) {
+	lp := load(t, buildNestedCalls(50))
+	for _, cfg := range []Config{BaselineConfig(), DefaultConfig()} {
+		m := NewMachine(lp, cfg)
+		var live, retired []int64
+		maxSeen, rewrites := int64(-1), 0
+		m.SetTraceMiddleware(func(h trace.Handler) trace.Handler {
+			return trace.HandlerFunc(func(ev *trace.Event) {
+				cp := *ev
+				if cp.Frame > maxSeen {
+					maxSeen = cp.Frame
+					if rewrites == 0 && len(retired) > 0 && len(live) > 0 && retired[0] < live[len(live)-1] {
+						cp.Frame = retired[0]
+						rewrites++
+					}
+					live = append(live, ev.Frame)
+				}
+				if lp.InstrAt(ev.Func, ev.ID).Op == ir.Ret {
+					live = live[:len(live)-1]
+					retired = append(retired, ev.Frame)
+				}
+				h.Event(&cp)
+			})
+		})
+		_, err := m.Run()
+		if rewrites != 1 {
+			t.Fatalf("middleware rewrote %d frames; the program offers no retired id under a live caller", rewrites)
+		}
+		if !errors.Is(err, ErrCorruptTrace) {
+			t.Fatalf("SPT=%v: err = %v, want ErrCorruptTrace", cfg.SPT, err)
 		}
 	}
 }

@@ -12,22 +12,23 @@ import (
 // loopTracker attributes main-pipeline cycles and SPT window statistics to
 // the innermost active loop. Loop identity is the (function, header label)
 // pair, with the transformation's "spt.start." prefix stripped so baseline
-// and SPT runs of the same benchmark share keys.
+// and SPT runs of the same benchmark share keys. Per-activation state lives
+// in the engine's activation records.
 type loopTracker struct {
-	lp      *interp.Program
 	statics []trackStatics
-	frames  map[int64]*trackFrame
-	stack   []*trackFrame
 	perLoop map[profiler.LoopKey]*LoopStats
 
-	active []*LoopStats // global activation stack (innermost last)
+	// active is the global loop activation stack (innermost last). Cycles
+	// are charged inclusively (a loop's cycles include its callees' loops,
+	// mirroring the profiler's coverage accounting) and lazily: an entry
+	// adds the clock's advance since its push when it is popped.
+	active []activeLoop
+	clock  int64 // main-pipeline cycles, as of the last event charged
+}
 
-	framePool []*trackFrame // recycled frame records (zero-alloc steady state)
-
-	// One-entry lookup memo: consecutive observations overwhelmingly come
-	// from the same frame, so most observe calls skip the frames map.
-	lastFrame int64
-	lastFr    *trackFrame
+type activeLoop struct {
+	ls    *LoopStats
+	since int64 // clock at push
 }
 
 type trackStatics struct {
@@ -39,10 +40,17 @@ type trackStatics struct {
 	iterAt []int32 // instruction id that bumps the innermost loop's iteration, or -1
 }
 
+// trackFrame is one activation's loop state: the block of its previous
+// event and its active loops, outermost first.
 type trackFrame struct {
-	fi    int32
 	prevB int32
 	acts  []*LoopStats
+}
+
+// reset readies a recycled record for a new activation, keeping capacity.
+func (fr *trackFrame) reset() {
+	fr.prevB = -1
+	fr.acts = fr.acts[:0]
 }
 
 // NormalizeHeader strips the SPT transformation prefix from a header label.
@@ -54,11 +62,7 @@ func NormalizeHeader(label string) string {
 }
 
 func newLoopTracker(lp *interp.Program) *loopTracker {
-	t := &loopTracker{
-		lp:      lp,
-		frames:  map[int64]*trackFrame{},
-		perLoop: map[profiler.LoopKey]*LoopStats{},
-	}
+	t := &loopTracker{perLoop: map[profiler.LoopKey]*LoopStats{}}
 	p := lp.IR
 	t.statics = make([]trackStatics, len(p.Funcs))
 	for fi, f := range p.Funcs {
@@ -133,31 +137,20 @@ func (t *loopTracker) current() *LoopStats {
 	if len(t.active) == 0 {
 		return nil
 	}
-	return t.active[len(t.active)-1]
+	return t.active[len(t.active)-1].ls
 }
 
-// observe updates loop activations for one (bookkeeping) event and returns
-// the innermost active loop after the event.
-func (t *loopTracker) observe(fn int32, frame int64, id int32, isRet bool) *LoopStats {
-	var fr *trackFrame
-	if t.lastFr != nil && t.lastFrame == frame {
-		fr = t.lastFr
-	} else {
-		fr = t.frames[frame]
+// settle charges the loops still active when the run ends.
+func (t *loopTracker) settle() {
+	for _, a := range t.active {
+		a.ls.Cycles += t.clock - a.since
 	}
-	if fr == nil {
-		if n := len(t.framePool); n > 0 {
-			fr = t.framePool[n-1]
-			t.framePool = t.framePool[:n-1]
-			fr.fi, fr.prevB = fn, -1
-			fr.acts = fr.acts[:0]
-		} else {
-			fr = &trackFrame{fi: fn, prevB: -1}
-		}
-		t.frames[frame] = fr
-		t.stack = append(t.stack, fr)
-	}
-	t.lastFrame, t.lastFr = frame, fr
+}
+
+// observe updates loop activations for one (bookkeeping) event of the
+// activation whose state is fr and returns the innermost active loop after
+// the event.
+func (t *loopTracker) observe(fr *trackFrame, fn int32, id int32, isRet bool) *LoopStats {
 	st := &t.statics[fn]
 	blk := st.blockOf[id]
 	if blk != fr.prevB {
@@ -172,7 +165,7 @@ func (t *loopTracker) observe(fn int32, frame int64, id int32, isRet bool) *Loop
 		for len(fr.acts) < len(chain) {
 			ls := t.loopStats(chain[len(fr.acts)])
 			fr.acts = append(fr.acts, ls)
-			t.active = append(t.active, ls)
+			t.active = append(t.active, activeLoop{ls, t.clock})
 		}
 		fr.prevB = blk
 	}
@@ -183,15 +176,6 @@ func (t *loopTracker) observe(fn int32, frame int64, id int32, isRet bool) *Loop
 		for len(fr.acts) > 0 {
 			t.popAct(fr)
 		}
-		delete(t.frames, frame)
-		t.lastFr = nil
-		for i := len(t.stack) - 1; i >= 0; i-- {
-			if t.stack[i] == fr {
-				t.stack = append(t.stack[:i], t.stack[i+1:]...)
-				break
-			}
-		}
-		t.framePool = append(t.framePool, fr)
 	}
 	return t.current()
 }
@@ -200,7 +184,8 @@ func (t *loopTracker) popAct(fr *trackFrame) {
 	a := fr.acts[len(fr.acts)-1]
 	fr.acts = fr.acts[:len(fr.acts)-1]
 	for i := len(t.active) - 1; i >= 0; i-- {
-		if t.active[i] == a {
+		if t.active[i].ls == a {
+			a.Cycles += t.clock - t.active[i].since
 			t.active = append(t.active[:i], t.active[i+1:]...)
 			break
 		}

@@ -201,8 +201,13 @@ type engine struct {
 	main  *pipeline
 	stats *RunStats
 
+	// The event window is a ring of 2^k slots: absolute event index abs
+	// lives at buf[abs&mask]. Events [base, end) are buffered; compacting
+	// only advances base, and a full ring doubles.
 	buf  []trace.Event
-	base int64 // absolute index of buf[0]
+	mask int64
+	base int64 // absolute index of the oldest buffered event
+	end  int64 // absolute index of the next event to arrive
 	pos  int64 // absolute index of the next main-thread event
 	done bool
 
@@ -227,59 +232,59 @@ type engine struct {
 
 	tracker *loopTracker
 	curLoop *LoopStats
-	lastCm  int64
 
 	onFail  func() // tells the driver this engine stopped simulating
 	failure error  // budget exhaustion or corrupt input; simulation stops
 
-	// frame linkage for return-value readiness and reg tracking. The
-	// last-touched entry is memoized: consecutive events overwhelmingly
-	// share a frame, so most lookups skip the map entirely.
-	frameInfo map[int64]*engFrame
-	frameTop  []int64 // call stack of frame ids (main thread view)
-	lastFrame int64
-	lastFI    *engFrame
+	// Live activations in the main thread's view: the call stack.
+	acts frameStack[activation]
 
 	// Scratch state reused across events and speculation windows so the
 	// simulator's steady state allocates nothing (locked in by
 	// BenchmarkSpeculationEpisodes / TestSpeculationSteadyStateAllocs).
-	specFree        []*specThread // pooled thread records (commit grabs the next before releasing the old, so two circulate)
-	specPipe        *pipeline     // persistent speculative-core pipeline
-	specBd          Breakdown     // sink for the speculative pipeline's accounting
-	srbScratch      []srbEntry    // SRB entries, preallocated to cfg.SRBSize
-	reexecScratch   []int         // replayed entry indices
-	violatedScratch []bool        // violated live-in registers
-	regsScratch     []int64       // commit-time register tracking (absorb)
-	lastWriter      map[specWKey]int
-	lwFrame         []int32 // loop-frame register writers (dense fast path; -1 = none)
+	specFree        []*specThread         // pooled thread records (commit grabs the next before releasing the old, so two circulate)
+	specPipe        *pipeline             // persistent speculative-core pipeline
+	specBd          Breakdown             // sink for the speculative pipeline's accounting
+	srbScratch      []srbEntry            // SRB entries, preallocated to cfg.SRBSize
+	reexecScratch   []int                 // replayed entry indices
+	violatedScratch []bool                // violated live-in registers
+	regsScratch     []int64               // commit-time register tracking (absorb)
+	specFrames      frameStack[specFrame] // activations the current window's walk is inside
 	ssb             map[int64]int
-	specFrameParent map[int64]int64
-	specFrameRet    map[int64]ir.Reg
-	framePool       []*engFrame // recycled frame-linkage records
-	snapPool        [][]int64   // recycled fork-snapshot buffers
+	snapPool        [][]int64 // recycled fork-snapshot buffers
 }
 
-type engFrame struct {
+// activation is the engine's record of one live function activation: its
+// call linkage (for return-value tracking) and its loop-tracker state.
+type activation struct {
+	parent int64  // calling activation, or -1 when not entered by a Call
+	retDst ir.Reg // caller register receiving the return value
 	fn     int32
-	parent int64
-	retDst ir.Reg
-	lastID int32
+	lastID int32 // id of the activation's latest event
+	loops  trackFrame
 }
 
 func newEngine(lp *interp.Program, cfg Config) *engine {
 	st := &RunStats{}
 	e := &engine{
-		lp:        lp,
-		cfg:       cfg,
-		hier:      cache.New(cfg.Cache),
-		bp:        bpred.New(cfg.BPredEntries),
-		stats:     st,
-		frameInfo: map[int64]*engFrame{},
-		tracker:   newLoopTracker(lp),
-		buf:       grabBuf(),
+		lp:      lp,
+		cfg:     cfg,
+		hier:    cache.New(cfg.Cache),
+		bp:      bpred.New(cfg.BPredEntries),
+		stats:   st,
+		tracker: newLoopTracker(lp),
 	}
-	e.main = newPipeline(cfg.IssueWidth, cfg.BranchPenalty, &st.Breakdown)
-	e.specPipe = newPipeline(cfg.IssueWidth, cfg.BranchPenalty, &e.specBd)
+	e.buf = grabBuf()
+	if e.buf == nil {
+		e.buf = make([]trace.Event, minRing)
+	}
+	e.mask = int64(len(e.buf) - 1)
+	nregs := make([]int, len(lp.IR.Funcs))
+	for i, f := range lp.IR.Funcs {
+		nregs[i] = f.NumRegs
+	}
+	e.main = newPipeline(cfg.IssueWidth, cfg.BranchPenalty, nregs, &st.Breakdown)
+	e.specPipe = newPipeline(cfg.IssueWidth, cfg.BranchPenalty, nregs, &e.specBd)
 	e.sched = multispec.NewScheduler(cfg.Sched, cfg.EffCores(), cfg.SchedStride)
 	e.coreFree = make([]int64, e.sched.SpecCores())
 	e.chainSSB = map[int64]bool{}
@@ -287,42 +292,37 @@ func newEngine(lp *interp.Program, cfg Config) *engine {
 		e.planner = multispec.NewPlanner(lp.IR)
 	}
 	e.srbScratch = make([]srbEntry, 0, cfg.SRBSize)
-	e.lastWriter = map[specWKey]int{}
 	e.ssb = map[int64]int{}
-	e.specFrameParent = map[int64]int64{}
-	e.specFrameRet = map[int64]ir.Reg{}
 	st.PerLoop = e.tracker.perLoop
 	return e
 }
 
-// bufPool recycles event-window backing arrays across engines. A window
-// grows to a few megabytes on long traces, and a sweep builds one engine per
-// variant — without pooling every engine re-grows (and the runtime re-zeroes)
-// that array from scratch, which dominates the allocation profile.
+// minRing is the initial event-ring size; rings grow by doubling to the
+// live window's span (a few times cfg.Window).
+const minRing = 1 << 12
+
+// bufPool recycles event rings across engines. A ring grows to a few
+// megabytes on long traces, and a sweep builds one engine per variant —
+// without pooling every engine re-grows (and the runtime re-zeroes) that
+// array from scratch, which dominates the allocation profile.
 var bufPool sync.Pool
 
-// grabBuf returns a recycled event window (length 0) or nil when the pool is
-// empty, in which case append grows a fresh one.
+// grabBuf returns a recycled event ring (a power-of-two length) or nil when
+// the pool is empty.
 func grabBuf() []trace.Event {
 	if v := bufPool.Get(); v != nil {
-		return (*v.(*[]trace.Event))[:0]
+		return *v.(*[]trace.Event)
 	}
 	return nil
 }
 
-// releaseBuf returns the engine's event window to the pool once the run is
-// over. The full capacity is cleared first: compact leaves stale events (and
-// their snapshot aliases) beyond len, and a pooled window must not pin them.
+// releaseBuf returns the engine's event ring to the pool once the run is
+// over, cleared so a pooled ring does not pin snapshot buffers.
 func (e *engine) releaseBuf() {
-	if cap(e.buf) == 0 {
-		e.buf = nil
-		return
-	}
-	full := e.buf[:cap(e.buf)]
-	clear(full)
-	b := full[:0]
-	bufPool.Put(&b)
+	b := e.buf
 	e.buf = nil
+	clear(b)
+	bufPool.Put(&b)
 }
 
 // grabSpec returns a pooled speculative-thread record; its scratch slices
@@ -371,19 +371,6 @@ func (e *engine) fail(err error) {
 // has aborted (its Event is a no-op from then on).
 func (e *engine) Quit() bool { return e.failure != nil }
 
-// frameOf returns the linkage record of frame, consulting the one-entry
-// memo before the map.
-func (e *engine) frameOf(frame int64) *engFrame {
-	if e.lastFI != nil && e.lastFrame == frame {
-		return e.lastFI
-	}
-	fi := e.frameInfo[frame]
-	if fi != nil {
-		e.lastFrame, e.lastFI = frame, fi
-	}
-	return fi
-}
-
 // Event implements trace.Handler: buffer the event and simulate as far as
 // the lookahead window allows. Events whose coordinates do not resolve to a
 // loaded instruction abort the run with ErrCorruptTrace instead of
@@ -397,34 +384,44 @@ func (e *engine) Event(ev *trace.Event) {
 		e.fail(fmt.Errorf("%w: func=%d id=%d", ErrCorruptTrace, ev.Func, ev.ID))
 		return
 	}
-	e.buf = append(e.buf, *ev)
+	if e.end-e.base == int64(len(e.buf)) {
+		e.compact()
+		if e.end-e.base == int64(len(e.buf)) {
+			e.grow()
+		}
+	}
+	slot := e.at(e.end)
+	if old := slot.Snapshot; old != nil {
+		// The slot's previous event was dropped; nothing aliases its
+		// snapshot (speculative threads copy fork snapshots).
+		e.snapPool = append(e.snapPool, old)
+	}
+	*slot = *ev
 	if ev.Snapshot != nil {
 		// The producer reuses its snapshot buffer, so the buffered event
-		// needs its own copy; recycled buffers come back via compact.
+		// needs its own copy.
 		var buf []int64
 		if n := len(e.snapPool); n > 0 {
 			buf = e.snapPool[n-1]
 			e.snapPool = e.snapPool[:n-1]
 		}
-		e.buf[len(e.buf)-1].Snapshot = append(buf[:0], ev.Snapshot...)
+		slot.Snapshot = append(buf[:0], ev.Snapshot...)
 	}
+	e.end++
 	lookahead := int64(e.cfg.Window)
-	end := e.base + int64(len(e.buf)) // step never appends or compacts
-	for e.failure == nil && end-e.pos > lookahead && e.pos < end {
+	for e.failure == nil && e.end-e.pos > lookahead && e.pos < e.end {
 		e.step()
-	}
-	if len(e.buf) > 4096 { // compact cannot fire below this; skip the call
-		e.compact()
 	}
 }
 
 // finish drains the remaining events after the trace ends.
 func (e *engine) finish() {
 	e.done = true
-	for e.failure == nil && e.pos < e.base+int64(len(e.buf)) {
+	for e.failure == nil && e.pos < e.end {
 		e.step()
 	}
 	e.stats.Cycles = e.main.now()
+	e.tracker.settle()
 	e.stats.BranchLookups = e.bp.Lookups
 	e.stats.BranchMispredicts = e.bp.Mispredicts
 	e.stats.Cache = e.hier.Stats()
@@ -433,34 +430,29 @@ func (e *engine) finish() {
 	e.stats.Breakdown.IssueSlots = 0
 }
 
-// compact drops buffered events no longer reachable by any consumer.
+// compact drops buffered events no longer reachable by any consumer by
+// advancing base; the dropped slots are overwritten by later events.
 func (e *engine) compact() {
-	low := e.pos
-	if len(e.specs) > 0 && e.specs[0].forkPos < low {
-		low = e.specs[0].forkPos // oldest thread: smallest fork position
-	}
-	// Compact only once the consumed prefix dominates the buffer: every
-	// copied tail element is then paid for by at least one consumed event,
-	// so the shift cost amortizes to O(1) per event instead of re-copying a
-	// long live window every 4096 events.
-	if n := low - e.base; n > 4096 && n > int64(len(e.buf))/2 {
-		// Reclaim the dropped events' snapshot buffers: nothing aliases them
-		// (speculative threads copy fork snapshots into their own arrays).
-		for i := range e.buf[:n] {
-			if s := e.buf[i].Snapshot; s != nil {
-				e.snapPool = append(e.snapPool, s)
-			}
-		}
-		e.buf = append(e.buf[:0], e.buf[n:]...)
-		e.base += n
+	e.base = e.pos
+	if len(e.specs) > 0 && e.specs[0].forkPos < e.base {
+		e.base = e.specs[0].forkPos // oldest thread: smallest fork position
 	}
 }
 
+// grow doubles the event ring, re-homing the buffered events.
+func (e *engine) grow() {
+	nb := make([]trace.Event, 2*len(e.buf))
+	mask := int64(len(nb) - 1)
+	for abs := e.base; abs < e.end; abs++ {
+		nb[abs&mask] = *e.at(abs)
+	}
+	e.buf, e.mask = nb, mask
+}
+
+// at returns the buffered event at absolute index abs.
 func (e *engine) at(abs int64) *trace.Event {
-	return &e.buf[abs-e.base]
+	return &e.buf[abs&e.mask]
 }
-
-func (e *engine) end() int64 { return e.base + int64(len(e.buf)) }
 
 // step processes one main-thread event.
 func (e *engine) step() {
@@ -480,7 +472,7 @@ func (e *engine) step() {
 
 	e.bookkeep(ev, in, e.pos)
 	_, complete := e.main.exec(ev, in, e.hier, e.bp, true)
-	e.attributeCycles()
+	e.tracker.clock = e.main.now()
 
 	switch in.Op {
 	case ir.SptFork:
@@ -505,11 +497,6 @@ func (e *engine) step() {
 			clear(e.chainSSB)
 		}
 	case ir.Ret:
-		// Propagate return value readiness to the caller's pipeline view.
-		fi := e.frameInfo[ev.Frame]
-		if fi != nil && fi.parent >= 0 && fi.retDst != ir.NoReg {
-			e.main.setReady(fi.parent, fi.retDst, complete, false)
-		}
 		e.main.dropFrame(ev.Frame)
 	}
 	e.pos++
@@ -521,33 +508,17 @@ func (e *engine) step() {
 // absolute trace index, so threads forked later in the trace (whose
 // register copy already reflects earlier events) skip them.
 func (e *engine) bookkeep(ev *trace.Event, in *ir.Instr, pos int64) {
-	fi := e.frameOf(ev.Frame)
-	if fi == nil {
-		if n := len(e.framePool); n > 0 {
-			fi = e.framePool[n-1]
-			e.framePool = e.framePool[:n-1]
-		} else {
-			fi = &engFrame{}
+	ai := e.acts.find(ev.Frame)
+	if ai < 0 {
+		ai = e.openActivation(ev)
+		if ai < 0 {
+			return
 		}
-		*fi = engFrame{fn: ev.Func, parent: -1, retDst: ir.NoReg}
-		if len(e.frameTop) > 0 {
-			pf := e.frameTop[len(e.frameTop)-1]
-			pinfo := e.frameInfo[pf]
-			if pinfo != nil {
-				pin := e.lp.InstrAt(pinfo.fn, pinfo.lastID)
-				if pin.Op == ir.Call {
-					fi.parent = pf
-					fi.retDst = pin.Dst
-				}
-			}
-		}
-		e.frameInfo[ev.Frame] = fi
-		e.frameTop = append(e.frameTop, ev.Frame)
-		e.lastFrame, e.lastFI = ev.Frame, fi
 	}
+	fi := e.acts.recs[ai]
 	fi.lastID = ev.ID
 
-	e.curLoop = e.tracker.observe(ev.Func, ev.Frame, ev.ID, in.Op == ir.Ret)
+	e.curLoop = e.tracker.observe(&fi.loops, ev.Func, ev.ID, in.Op == ir.Ret)
 
 	for _, s := range e.specs {
 		if pos <= s.forkPos {
@@ -577,33 +548,32 @@ func (e *engine) bookkeep(ev *trace.Event, in *ir.Instr, pos int64) {
 	}
 
 	if in.Op == ir.Ret {
-		for i := len(e.frameTop) - 1; i >= 0; i-- {
-			if e.frameTop[i] == ev.Frame {
-				e.frameTop = append(e.frameTop[:i], e.frameTop[i+1:]...)
-				break
-			}
-		}
-		delete(e.frameInfo, ev.Frame)
-		if e.lastFI == fi {
-			e.lastFI = nil
-		}
-		e.framePool = append(e.framePool, fi)
+		e.acts.drop(ai)
 	}
 }
 
-// attributeCycles charges main-pipeline progress since the last event to
-// every active loop (inclusive attribution: a loop's cycles include its
-// callees' loops, mirroring the profiler's coverage accounting).
-func (e *engine) attributeCycles() {
-	now := e.main.now()
-	if now <= e.lastCm {
-		return
+// openActivation pushes a record for the first event of a new activation
+// and returns its index. The activation is a callee of the innermost live
+// one when that one's latest event is a Call. A frame id at or below the
+// innermost live activation's cannot open an activation in a trace
+// produced in call order: the engine fails with ErrCorruptTrace and
+// returns -1.
+func (e *engine) openActivation(ev *trace.Event) int {
+	parent, retDst := int64(-1), ir.NoReg
+	if n := len(e.acts.ids); n > 0 {
+		top, caller := e.acts.ids[n-1], e.acts.recs[n-1]
+		if top >= ev.Frame {
+			e.fail(fmt.Errorf("%w: activation %d opens inside live activation %d", ErrCorruptTrace, ev.Frame, top))
+			return -1
+		}
+		if pin := e.lp.InstrAt(caller.fn, caller.lastID); pin.Op == ir.Call {
+			parent, retDst = top, pin.Dst
+		}
 	}
-	d := now - e.lastCm
-	for _, a := range e.tracker.active {
-		a.Cycles += d
-	}
-	e.lastCm = now
+	a := e.acts.open(ev.Frame)
+	a.parent, a.retDst, a.fn = parent, retDst, ev.Func
+	a.loops.reset()
+	return len(e.acts.ids) - 1
 }
 
 // handleFork arms a speculative core if one is idle.
@@ -651,7 +621,7 @@ func (e *engine) handleForkFrom(ev *trace.Event, frame int64, complete, forkPos,
 // frame returns (or the window ends) first.
 func (e *engine) findStart(frame int64, startID int32, scanFrom int64) int64 {
 	seen := 0
-	for p := scanFrom; p < e.end(); p++ {
+	for p := scanFrom; p < e.end; p++ {
 		x := e.at(p)
 		if x.Frame != frame {
 			continue

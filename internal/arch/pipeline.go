@@ -1,6 +1,8 @@
 package arch
 
 import (
+	"slices"
+
 	"repro/internal/bpred"
 	"repro/internal/cache"
 	"repro/internal/ir"
@@ -8,15 +10,13 @@ import (
 )
 
 // frameBoard is the register scoreboard of one activation: per-register
-// readiness times and whether the producing instruction was a load. A
-// register with no entry (index past the slice) is ready at cycle 0, which
-// matches the zero value — so boards grow lazily to the highest register
-// actually defined.
+// readiness times and whether the producing instruction was a load. A board
+// is sized to its function's register file when it is created; a register
+// past the slice (possible only when a corrupted event names another
+// function's registers) is ready at cycle 0, which matches the zero value.
 type frameBoard struct {
 	ready    []int64
 	fromLoad []bool
-	frame    int64 // key this board is filed under in pipeline.boards
-	slot     int   // position in pipeline.live
 }
 
 // get returns the readiness time and load-origin of register r.
@@ -45,78 +45,51 @@ func (b *frameBoard) set(r ir.Reg, t int64, fromLoad bool) {
 type pipeline struct {
 	width   int
 	penalty int
+	nregs   []int // register-file size per function index
 
 	cycle    int64
 	slots    int
 	redirect int64 // earliest issue after a mispredicted branch
 
-	// Scoreboards, one per live activation; dropping a dead frame is O(its
-	// registers) instead of a scan over every live entry. Boards are pooled
-	// (cleared on release) so the steady state allocates nothing, and the
-	// last-touched board is memoized — consecutive events overwhelmingly
-	// share a frame. live mirrors the map's values so reset can walk and
-	// unlink exactly the boards that exist instead of clearing the whole
-	// map (O(capacity) per speculation window).
-	boards    map[int64]*frameBoard
-	live      []*frameBoard
-	boardPool []*frameBoard
+	// Scoreboards, one per live activation. The last-touched board is
+	// memoized for the lookups that land below the top (the loop frame
+	// under its callees).
+	boards    frameStack[frameBoard]
 	lastFrame int64
 	lastBoard *frameBoard
 
 	bd *Breakdown
 }
 
-func newPipeline(width, penalty int, bd *Breakdown) *pipeline {
-	return &pipeline{
-		width:   width,
-		penalty: penalty,
-		boards:  make(map[int64]*frameBoard, 64),
-		bd:      bd,
-	}
+func newPipeline(width, penalty int, nregs []int, bd *Breakdown) *pipeline {
+	return &pipeline{width: width, penalty: penalty, nregs: nregs, bd: bd}
 }
 
 // board returns frame's scoreboard; with create it materializes one (from
-// the pool when possible) instead of returning nil.
-func (p *pipeline) board(frame int64, create bool) *frameBoard {
+// the pool when possible, sized for function fn, or empty when fn is -1)
+// instead of returning nil.
+func (p *pipeline) board(frame int64, fn int32, create bool) *frameBoard {
 	if p.lastBoard != nil && p.lastFrame == frame {
 		return p.lastBoard
 	}
-	b := p.boards[frame]
-	if b == nil && create {
-		if n := len(p.boardPool); n > 0 {
-			b = p.boardPool[n-1]
-			p.boardPool = p.boardPool[:n-1]
-		} else {
-			b = &frameBoard{}
+	var b *frameBoard
+	if i := p.boards.find(frame); i >= 0 {
+		b = p.boards.recs[i]
+	} else if !create {
+		return nil
+	} else {
+		b = p.boards.open(frame)
+		n := 0 // unknown function: the board grows as registers are set
+		if fn >= 0 {
+			n = p.nregs[fn]
 		}
-		b.frame = frame
-		b.slot = len(p.live)
-		p.live = append(p.live, b)
-		p.boards[frame] = b
+		b.ready = slices.Grow(b.ready[:0], n)[:n]
+		b.fromLoad = slices.Grow(b.fromLoad[:0], n)[:n]
+		clear(b.ready)
+		clear(b.fromLoad)
 	}
-	if b != nil {
-		p.lastFrame, p.lastBoard = frame, b
-	}
+	p.lastFrame, p.lastBoard = frame, b
 	return b
-}
-
-// releaseBoard clears a dead board and returns it to the pool. The caller
-// unlinks it from boards and live first.
-func (p *pipeline) releaseBoard(b *frameBoard) {
-	clear(b.ready)
-	clear(b.fromLoad)
-	b.ready = b.ready[:0]
-	b.fromLoad = b.fromLoad[:0]
-	p.boardPool = append(p.boardPool, b)
-}
-
-// unlink removes b from the live list (swap-remove, fixing the moved
-// board's slot).
-func (p *pipeline) unlink(b *frameBoard) {
-	last := p.live[len(p.live)-1]
-	p.live[b.slot] = last
-	last.slot = b.slot
-	p.live = p.live[:len(p.live)-1]
 }
 
 // now returns the pipeline's current cycle.
@@ -136,26 +109,18 @@ func (p *pipeline) reset(at int64) {
 	p.cycle = at
 	p.slots = 0
 	p.redirect = 0
-	for _, b := range p.live {
-		delete(p.boards, b.frame)
-		p.releaseBoard(b)
-	}
-	p.live = p.live[:0]
+	p.boards.reset()
 	p.lastBoard = nil
 }
 
 // dropFrame forgets scoreboard entries of a dead activation.
 func (p *pipeline) dropFrame(frame int64) {
-	b := p.boards[frame]
-	if b == nil {
-		return
+	if i := p.boards.find(frame); i >= 0 {
+		if p.lastBoard == p.boards.recs[i] {
+			p.lastBoard = nil
+		}
+		p.boards.drop(i)
 	}
-	delete(p.boards, frame)
-	p.unlink(b)
-	if p.lastBoard == b {
-		p.lastBoard = nil
-	}
-	p.releaseBoard(b)
 }
 
 // InstrBytes is the synthetic size of one instruction in the I-cache
@@ -192,7 +157,7 @@ func (p *pipeline) exec(ev *trace.Event, in *ir.Instr, hier *cache.Hierarchy, bp
 	var uses [4]ir.Reg
 	us := in.Uses(uses[:0])
 	if len(us) > 0 {
-		b := p.board(ev.Frame, false)
+		b := p.board(ev.Frame, ev.Func, false)
 		for _, r := range us {
 			if t, fl := b.get(r); t > opReady {
 				opReady = t
@@ -249,13 +214,13 @@ func (p *pipeline) exec(ev *trace.Event, in *ir.Instr, hier *cache.Hierarchy, bp
 	complete = start + lat
 
 	if d := in.Def(); d != ir.NoReg {
-		p.board(ev.Frame, true).set(d, complete, in.Op == ir.Load)
+		p.board(ev.Frame, ev.Func, true).set(d, complete, in.Op == ir.Load)
 	}
 	return start, complete
 }
 
-// setReady marks a register value available at time t (e.g. a call's
-// return value propagated from the callee's Ret).
-func (p *pipeline) setReady(frame int64, r ir.Reg, t int64, fromLoad bool) {
-	p.board(frame, true).set(r, t, fromLoad)
+// setReady marks register r of activation frame (running function fn)
+// available at time t.
+func (p *pipeline) setReady(frame int64, fn int32, r ir.Reg, t int64, fromLoad bool) {
+	p.board(frame, fn, true).set(r, t, fromLoad)
 }

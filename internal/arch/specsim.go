@@ -2,10 +2,12 @@ package arch
 
 import (
 	"errors"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/ir"
 	"repro/internal/multispec"
+	"repro/internal/trace"
 )
 
 // srbEntry is one speculation-result-buffer record: a speculatively
@@ -18,11 +20,49 @@ type srbEntry struct {
 	wrongBr  bool // misspeculated branch: replay stops here
 }
 
-// specWKey identifies a register of a specific activation in the
-// speculative writer map.
-type specWKey struct {
-	frame int64
-	reg   ir.Reg
+// specFrame is one activation inside a speculative window: its call
+// linkage and the SRB entry that last wrote each of its registers.
+type specFrame struct {
+	frame   int64
+	parent  int64   // calling activation, or -1 (the loop frame; unknown linkage)
+	retDst  ir.Reg  // caller register receiving the return value
+	writers []int32 // register -> SRB index of its last speculative writer, -1 = none
+}
+
+// writer returns the SRB index of r's last speculative writer, or -1.
+func (f *specFrame) writer(r ir.Reg) int32 {
+	if int(r) < len(f.writers) {
+		return f.writers[r]
+	}
+	return -1
+}
+
+// setWriter records SRB entry idx as r's last speculative writer.
+func (f *specFrame) setWriter(r ir.Reg, idx int) {
+	for int(r) >= len(f.writers) {
+		f.writers = append(f.writers, -1)
+	}
+	f.writers[r] = int32(idx)
+}
+
+// specFrameOf returns the window record of frame, or nil.
+func (e *engine) specFrameOf(frame int64) *specFrame {
+	if i := e.specFrames.find(frame); i >= 0 {
+		return e.specFrames.recs[i]
+	}
+	return nil
+}
+
+// openSpecFrame files a record for an activation the walk enters, with
+// room for nregs registers.
+func (e *engine) openSpecFrame(frame int64, nregs int, parent int64, retDst ir.Reg) *specFrame {
+	f := e.specFrames.open(frame)
+	f.frame, f.parent, f.retDst = frame, parent, retDst
+	f.writers = slices.Grow(f.writers[:0], nregs)[:nregs]
+	for r := range f.writers {
+		f.writers[r] = -1
+	}
+	return f
 }
 
 // commitWindow is called when the main thread arrives at the oldest
@@ -240,9 +280,10 @@ func (e *engine) absorb(entries []srbEntry, s *specThread) {
 		in := e.lp.InstrAt(ev.Func, ev.ID)
 		if regs != nil {
 			if in.Op == ir.Ret {
-				if fi := e.frameOf(ev.Frame); fi != nil && fi.parent == s.frame &&
-					fi.retDst != ir.NoReg && int(fi.retDst) < len(regs) {
-					regs[fi.retDst] = ev.Val
+				if ai := e.acts.find(ev.Frame); ai >= 0 {
+					if fi := e.acts.recs[ai]; fi.parent == s.frame && fi.retDst != ir.NoReg && int(fi.retDst) < len(regs) {
+						regs[fi.retDst] = ev.Val
+					}
 				}
 			}
 			if ev.Frame == s.frame {
@@ -255,7 +296,7 @@ func (e *engine) absorb(entries []srbEntry, s *specThread) {
 		// Register readiness for subsequently executed main instructions:
 		// committed results are available at commit time.
 		if d := in.Def(); d != ir.NoReg {
-			e.main.setReady(ev.Frame, d, e.main.now(), false)
+			e.main.setReady(ev.Frame, ev.Func, d, e.main.now(), false)
 		}
 		if in.Op == ir.Ret {
 			e.main.dropFrame(ev.Frame)
@@ -268,7 +309,7 @@ func (e *engine) absorb(entries []srbEntry, s *specThread) {
 			forkIdx = i
 		}
 	}
-	e.attributeCycles()
+	e.tracker.clock = e.main.now()
 	e.pos = entries[len(entries)-1].pos + 1
 	// A committed spt_fork re-arms a speculative core at commit time: the
 	// replay walk "executes" the fork, so back-to-back windows keep the
@@ -392,72 +433,29 @@ func (e *engine) runSpec(s *specThread, arrival int64) []srbEntry {
 		stopAt = e.specs[0].startPos
 	}
 
-	// Writer tracking is split by frame: the loop frame — where nearly every
-	// window event lives — uses a dense register-indexed slice, while callee
-	// frames created inside the window go through the map. The split is
-	// exact (a register is tracked in exactly one of the two), so validity
-	// resolution is unchanged.
-	lastWriter := e.lastWriter // specWKey -> entry index (non-loop frames)
-	clear(lastWriter)
-	if cap(e.lwFrame) < len(s.snapshot) {
-		e.lwFrame = make([]int32, len(s.snapshot))
-	}
-	lw := e.lwFrame[:len(s.snapshot)]
-	for i := range lw {
-		lw[i] = -1 // no speculative writer yet
-	}
+	// Register writers are tracked per activation the walk is inside: the
+	// loop frame, where nearly every window event lives, and the callees
+	// entered in the window, each dropped at its Ret.
+	e.specFrames.reset()
+	loop := e.openSpecFrame(s.frame, max(e.main.nregs[s.fn], len(s.snapshot)), -1, ir.NoReg)
+	cur := loop  // the current event's record
 	ssb := e.ssb // addr -> entry index of latest spec store
 	clear(ssb)
-	frameParent := e.specFrameParent
-	clear(frameParent)
-	frameRet := e.specFrameRet
-	clear(frameRet)
-	frameParent[s.frame] = -2 // sentinel: the loop frame itself
-	depth0 := s.frame
-	knownFrame := s.frame // frame-linkage memo: last frame seen in frameParent
-
-	misspecOf := func(idx int) bool { return entries[idx].misspec }
 
 	pos := s.startPos
-	for pos < e.end() {
+	for pos < e.end {
 		if pos == stopAt {
 			break // the successor thread's iteration range starts here
 		}
 		ev := e.at(pos)
 		in := e.lp.InstrAt(ev.Func, ev.ID)
 
-		// Track frames created inside the speculative window. Consecutive
-		// events overwhelmingly share a frame, and linkage entries are never
-		// deleted within a window, so a frame equal to the last one seen
-		// needs no map probe.
-		if ev.Frame != knownFrame {
-			if _, known := frameParent[ev.Frame]; !known {
-				// Called from the previous event's frame.
-				if pos > s.startPos {
-					prev := e.at(pos - 1)
-					pin := e.lp.InstrAt(prev.Func, prev.ID)
-					if pin.Op == ir.Call {
-						frameParent[ev.Frame] = prev.Frame
-						frameRet[ev.Frame] = pin.Dst
-						// Parameters inherit the Call entry's validity. Under
-						// event-drop fault injection the Call entry may be
-						// missing; parameters are then treated as clean.
-						if callIdx := len(entries) - 1; callIdx >= 0 {
-							callee := e.lp.IR.Funcs[ev.Func]
-							for pr := 0; pr < callee.NumParams; pr++ {
-								lastWriter[specWKey{ev.Frame, ir.Reg(pr)}] = callIdx
-							}
-						}
-					} else {
-						frameParent[ev.Frame] = -3 // unknown linkage
-					}
-				} else {
-					frameParent[ev.Frame] = -3
-				}
+		if cur == nil || ev.Frame != cur.frame {
+			if cur = e.specFrameOf(ev.Frame); cur == nil {
+				cur = e.enterSpecFrame(s, ev, pos, len(entries)-1)
 			}
-			knownFrame = ev.Frame
 		}
-		if in.Op == ir.Ret && ev.Frame == depth0 {
+		if in.Op == ir.Ret && cur == loop {
 			break // speculation ran out of the loop function
 		}
 		if len(entries) >= e.cfg.SRBSize {
@@ -473,19 +471,11 @@ func (e *engine) runSpec(s *specThread, arrival int64) []srbEntry {
 		miss := false
 		var uses [4]ir.Reg
 		for _, r := range in.Uses(uses[:0]) {
-			if ev.Frame == depth0 && int(r) < len(lw) {
-				if wi := lw[r]; wi >= 0 {
-					if misspecOf(int(wi)) {
-						miss = true
-					}
-				} else if violated[r] {
+			if wi := cur.writer(r); wi >= 0 {
+				if entries[wi].misspec {
 					miss = true
 				}
-			} else if wi, ok := lastWriter[specWKey{ev.Frame, r}]; ok {
-				if misspecOf(wi) {
-					miss = true
-				}
-			} else if ev.Frame == s.frame && int(r) < len(violated) && violated[r] {
+			} else if cur == loop && int(r) < len(violated) && violated[r] {
 				miss = true
 			}
 		}
@@ -494,7 +484,7 @@ func (e *engine) runSpec(s *specThread, arrival int64) []srbEntry {
 		case ir.Load:
 			if si, ok := ssb[ev.Addr]; ok {
 				// Store-buffer forwarding: inherits the store's validity.
-				if misspecOf(si) {
+				if entries[si].misspec {
 					miss = true
 				}
 				memLat = 1
@@ -518,35 +508,32 @@ func (e *engine) runSpec(s *specThread, arrival int64) []srbEntry {
 			}
 			complete = issue + memLat
 			if d := in.Def(); d != ir.NoReg {
-				sp.setReady(ev.Frame, d, complete, true)
+				sp.setReady(ev.Frame, ev.Func, d, complete, true)
 			}
 		case ir.Store:
 			ssb[ev.Addr] = len(entries)
 		case ir.SptFork:
-			if e.cfg.SPT && ev.Frame == depth0 {
-				if ns := e.spawnInWalk(s, pos, complete, entries, lw, violated); ns != nil {
+			if e.cfg.SPT && cur == loop {
+				if ns := e.spawnInWalk(s, pos, complete, entries, loop.writers[:len(violated)], violated); ns != nil {
 					stopAt = ns.startPos
 				}
 			}
 		case ir.Ret:
-			// Propagate the return value into the caller frame's writer map.
-			if p, ok := frameParent[ev.Frame]; ok && p >= 0 {
-				if dst, ok2 := frameRet[ev.Frame]; ok2 && dst != ir.NoReg {
-					if p == depth0 && int(dst) < len(lw) {
-						lw[dst] = int32(len(entries))
-					} else {
-						lastWriter[specWKey{p, dst}] = len(entries)
-					}
-					sp.setReady(p, dst, complete, false)
+			// Propagate the return value into the caller's writers.
+			if cur.parent >= 0 && cur.retDst != ir.NoReg {
+				if pf := e.specFrameOf(cur.parent); pf != nil {
+					pf.setWriter(cur.retDst, len(entries))
 				}
+				// The caller's board exists: its Call defined retDst.
+				sp.setReady(cur.parent, -1, cur.retDst, complete, false)
 			}
+			// No event of a returned activation follows its Ret.
+			sp.dropFrame(ev.Frame)
+			e.specFrames.drop(e.specFrames.find(ev.Frame))
+			cur = nil
 		}
 		if d := in.Def(); d != ir.NoReg {
-			if ev.Frame == depth0 && int(d) < len(lw) {
-				lw[d] = int32(len(entries))
-			} else {
-				lastWriter[specWKey{ev.Frame, d}] = len(entries)
-			}
+			cur.setWriter(d, len(entries))
 		}
 
 		ent := srbEntry{pos: pos, issue: issue, complete: complete, misspec: miss}
@@ -558,6 +545,27 @@ func (e *engine) runSpec(s *specThread, arrival int64) []srbEntry {
 	}
 	e.srbScratch = entries[:0]
 	return entries
+}
+
+// enterSpecFrame opens the record of an activation the walk enters at pos.
+// It is a callee of the previous event's frame when that event is a Call,
+// whose SRB entry (callIdx) the parameters inherit their validity from.
+// Under event-drop fault injection the Call entry may be missing; the
+// parameters are then treated as clean.
+func (e *engine) enterSpecFrame(s *specThread, ev *trace.Event, pos int64, callIdx int) *specFrame {
+	if pos > s.startPos {
+		prev := e.at(pos - 1)
+		if pin := e.lp.InstrAt(prev.Func, prev.ID); pin.Op == ir.Call {
+			f := e.openSpecFrame(ev.Frame, e.main.nregs[ev.Func], prev.Frame, pin.Dst)
+			if callIdx >= 0 {
+				for pr := 0; pr < e.lp.IR.Funcs[ev.Func].NumParams; pr++ {
+					f.writers[pr] = int32(callIdx)
+				}
+			}
+			return f
+		}
+	}
+	return e.openSpecFrame(ev.Frame, e.main.nregs[ev.Func], -1, ir.NoReg)
 }
 
 // chainLookup probes the chain SSB, skipping the map access entirely when

@@ -567,14 +567,16 @@ func (m *Manager) maybeForward(w http.ResponseWriter, r *http.Request) bool {
 	}
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
 	if err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			http.Error(w, "request body too large", http.StatusRequestEntityTooLarge)
-		} else {
-			// Not a size violation — a client disconnect or transport error
-			// mid-body. Don't misreport it as the caller's fault.
-			http.Error(w, "error reading request body", http.StatusBadRequest)
+		// Answer as a standalone node does: 413 for a size violation, 400
+		// for anything else (a client disconnect or transport error
+		// mid-body), each with a JSON client.ErrorBody.
+		status := http.StatusBadRequest
+		if mbe := (*http.MaxBytesError)(nil); errors.As(err, &mbe) {
+			status = http.StatusRequestEntityTooLarge
 		}
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(status)
+		_ = json.NewEncoder(w).Encode(client.ErrorBody{Error: "bad request body: " + err.Error()})
 		return true
 	}
 	// Hand the handler a replayable body whether or not we forward.

@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"bytes"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -10,10 +12,12 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"repro/internal/bench"
 	"repro/internal/service"
+	"repro/spt/client"
 )
 
 // TestGossipOnlyBootstrap: three managers that know only their own URL and
@@ -90,6 +94,41 @@ func TestGossipOnlyBootstrap(t *testing.T) {
 		}
 	}
 	t.Logf("converged in %d rounds", rounds)
+}
+
+// TestClusteredBodyErrorsAreJSON: a clustered node rejects a submit body it
+// cannot read with the same JSON client.ErrorBody a standalone node sends —
+// 413 for a body over the 1 MiB bound, 400 when reading fails otherwise.
+func TestClusteredBodyErrorsAreJSON(t *testing.T) {
+	s, _ := newClusterServer(t, "a", "")
+	m, err := joinManager(ManagerConfig{Self: "a", Server: s},
+		map[string]string{"a": "http://127.0.0.1:1", "b": "http://127.0.0.1:2"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := m.Middleware(s.Handler())
+	for _, tc := range []struct {
+		name   string
+		body   io.Reader
+		status int
+	}{
+		{"oversized", strings.NewReader(`{"benchmark":"` + strings.Repeat("a", 1<<20) + `"}`), http.StatusRequestEntityTooLarge},
+		{"unreadable", iotest.ErrReader(errors.New("connection reset")), http.StatusBadRequest},
+	} {
+		req := httptest.NewRequest(http.MethodPost, "/v1/simulate", tc.body)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != tc.status {
+			t.Fatalf("%s: status %d; want %d", tc.name, rec.Code, tc.status)
+		}
+		if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
+			t.Errorf("%s: Content-Type %q; want application/json", tc.name, ct)
+		}
+		var eb client.ErrorBody
+		if err := json.NewDecoder(rec.Body).Decode(&eb); err != nil || !strings.HasPrefix(eb.Error, "bad request body: ") {
+			t.Errorf("%s: error body %+v, %v; want a client.ErrorBody", tc.name, eb, err)
+		}
+	}
 }
 
 // forwardedCall is one request the fuzz peer received.
