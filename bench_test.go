@@ -10,10 +10,12 @@ package repro
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
 	"repro/internal/arch"
+	"repro/internal/artifact"
 	"repro/internal/bench"
 	"repro/internal/compiler"
 	"repro/internal/harness"
@@ -356,12 +358,11 @@ func BenchmarkTraceReplay(b *testing.B) {
 	}
 }
 
-// BenchmarkSweepBroadcast measures the vectorized replay path a batched
-// sweep rides: one captured recording drives N variant engines through a
-// single broadcast decode pass (arch.RunRecordedMulti). Against
-// BenchmarkTraceReplay, ns/op here shows how the per-variant cost falls as
-// the decode is amortized across the bank; "bytes" is the recording size,
-// so MB/s is aggregate decode-side throughput per pass.
+// BenchmarkSweepBroadcast measures the recorded pass a batched sweep
+// rides on a hit: one captured recording drives N variant engines, which
+// read it in place (arch.RunRecordedMulti). ns/op shows how the cost of a
+// bank grows with its size; "bytes" is the recording size, so MB/s is
+// aggregate throughput per pass.
 func BenchmarkSweepBroadcast(b *testing.B) {
 	prog := spt.Benchmark("parser", benchScale)
 	cres, err := compiler.Compile(prog, bench.CompilerOptions("parser"))
@@ -506,4 +507,42 @@ func BenchmarkCompiler(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkRecordingMiss measures the recording-miss path in process, as
+// the daemon's recapture load drives it: each op rotates the ten scale-1
+// programs through a trace cache bounded below their recordings, so every
+// lookup misses and each program is captured and simulated once (a fresh
+// SRB size per op keeps the simulation cache from answering). It reports
+// GC cycles, trace misses, and recording chunks allocated and reused per
+// op.
+func BenchmarkRecordingMiss(b *testing.B) {
+	b.ReportAllocs()
+	ctx := context.Background()
+	cache := artifact.NewBoundedBytes(0, 16<<20)
+	run := func(i int) {
+		cfg := arch.DefaultConfig()
+		cfg.SRBSize = 32 + i%4096
+		for _, name := range bench.Names() {
+			if _, err := harness.RunBenchmarkGuarded(ctx, name, benchScale, cfg, harness.GuardOptions{Artifacts: cache, RecordTraces: true}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	run(-1) // build, compile and simulate the baselines once
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	gc0, miss0 := ms.NumGC, cache.Stats().RecordingMisses
+	alloc0, reuse0 := trace.ChunkCounts()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run(i)
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&ms)
+	b.ReportMetric(float64(ms.NumGC-gc0)/float64(b.N), "gc/op")
+	b.ReportMetric(float64(cache.Stats().RecordingMisses-miss0)/float64(b.N), "misses/op")
+	alloc1, reuse1 := trace.ChunkCounts()
+	b.ReportMetric(float64(alloc1-alloc0)/float64(b.N), "chunks_new/op")
+	b.ReportMetric(float64(reuse1-reuse0)/float64(b.N), "chunks_reused/op")
 }

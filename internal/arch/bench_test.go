@@ -50,12 +50,30 @@ func recordSPTTrace(tb testing.TB, n int64, depth int) (*interp.Program, []trace
 	return lp, rec.evs
 }
 
-// replay feeds one captured execution through the engine. Replaying the
-// same capture again is coherent: every frame dies at its Ret, so repeated
+// newFeed returns a live feed into a bank of one engine under cfg: events
+// appended to it reach the engine in bank bursts, and its window keeps only
+// the chunks the engine can still read, exactly as on a live pass.
+func newFeed(lp *interp.Program, cfg Config) (*liveFeed, *engine) {
+	rec := trace.NewWindow()
+	b := newBank(lp, []Config{cfg}, rec.Recording(), nil)
+	return &liveFeed{b: b, rec: rec}, b.engines[0]
+}
+
+// replay feeds one captured execution through the feed. Replaying the same
+// capture again is coherent: every frame dies at its Ret, so repeated
 // frame ids always refer to fresh activations.
-func replay(e *engine, evs []trace.Event) {
+func replay(f *liveFeed, evs []trace.Event) {
 	for i := range evs {
-		e.Event(&evs[i])
+		f.Event(&evs[i])
+	}
+}
+
+// warm replays evs until the window has cycled through several chunks, so
+// the feed's recycled chunks, the engine's pools, caches and scratch
+// buffers have all reached their steady capacity.
+func warm(f *liveFeed, evs []trace.Event) {
+	for f.n < 4*trace.ChunkEvents {
+		replay(f, evs)
 	}
 }
 
@@ -65,16 +83,17 @@ func replay(e *engine, evs []trace.Event) {
 // 0 allocs/op.
 func BenchmarkSpeculationEpisodes(b *testing.B) {
 	lp, evs := recordSPTTrace(b, 600, 24)
-	e := newEngine(lp, DefaultConfig())
-	replay(e, evs) // warm pools, caches and scratch buffers
+	f, e := newFeed(lp, DefaultConfig())
+	replay(f, evs)
 	episodes := e.stats.Windows
 	if episodes == 0 {
 		b.Fatal("trace opens no speculative windows")
 	}
+	warm(f, evs)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		replay(e, evs)
+		replay(f, evs)
 	}
 	b.StopTimer()
 	if e.failure != nil {
@@ -86,12 +105,12 @@ func BenchmarkSpeculationEpisodes(b *testing.B) {
 // BenchmarkBaselineEvents measures the plain single-core event path.
 func BenchmarkBaselineEvents(b *testing.B) {
 	lp, evs := recordSPTTrace(b, 600, 24)
-	e := newEngine(lp, BaselineConfig())
-	replay(e, evs)
+	f, e := newFeed(lp, BaselineConfig())
+	warm(f, evs)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		replay(e, evs)
+		replay(f, evs)
 	}
 	b.StopTimer()
 	if e.failure != nil {
@@ -101,19 +120,18 @@ func BenchmarkBaselineEvents(b *testing.B) {
 }
 
 // TestSpeculationSteadyStateAllocs locks in the zero-allocation steady
-// state of the speculation episode path.
+// state of the speculation episode path, window included.
 func TestSpeculationSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is perturbed by the race detector")
 	}
 	lp, evs := recordSPTTrace(t, 400, 24)
-	e := newEngine(lp, DefaultConfig())
-	replay(e, evs)
-	replay(e, evs) // second warm pass: pools reach steady capacity
+	f, e := newFeed(lp, DefaultConfig())
+	warm(f, evs)
 	if e.stats.Windows == 0 || e.stats.FastCommits+e.stats.Replays == 0 {
 		t.Fatal("trace exercises no speculation commits")
 	}
-	allocs := testing.AllocsPerRun(3, func() { replay(e, evs) })
+	allocs := testing.AllocsPerRun(3, func() { replay(f, evs) })
 	if e.failure != nil {
 		t.Fatal(e.failure)
 	}

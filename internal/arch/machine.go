@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 
 	"repro/internal/bpred"
 	"repro/internal/cache"
@@ -50,108 +49,8 @@ func (m *Machine) Run() (*RunStats, error) { return m.RunContext(context.Backgro
 // returned error distinguishes budget exhaustion (ErrCycleLimit,
 // interp.ErrStepLimit, context deadline) from structural failures.
 func (m *Machine) RunContext(ctx context.Context) (*RunStats, error) {
-	stats, errs := runBank(ctx, m.lp, []Config{m.cfg}, nil, m.live)
+	_, stats, errs, _ := runLive(ctx, m.lp, []Config{m.cfg}, m.mw, false, 0, nil)
 	return stats[0], errs[0]
-}
-
-// live is the interpreter feed of a bank of one: the program runs under
-// the engine's step limit, through the trace middleware when one is set.
-func (m *Machine) live(ctx context.Context, hs []trace.Handler, limits []int64) (int64, error) {
-	im := interp.New(m.lp)
-	if limits[0] > 0 {
-		im.SetStepLimit(limits[0])
-	}
-	im.SetContext(ctx)
-	h := hs[0]
-	if m.mw != nil {
-		h = m.mw(h)
-	}
-	im.SetHandler(h)
-	res, err := im.Run()
-	return res.Steps, err
-}
-
-// feed delivers one architectural trace to a bank of engines: hs[i]
-// receives at most limits[i] events (<= 0: all of them). It returns the
-// trace's total step count.
-type feed func(ctx context.Context, hs []trace.Handler, limits []int64) (steps int64, err error)
-
-// runBank is the one simulation driver. It builds an engine per
-// configuration, drives them all from a single feed, and settles each
-// engine on its own. stats[i] is nil exactly when errs[i] is not; an
-// engine's error is, in order of precedence: an invalid configuration,
-// broken (a feed that cannot be simulated at all, such as a torn
-// recording), the engine's own abort (cycle budget, corrupt event), the
-// feed's error, the configuration's step limit, and an abort while
-// draining. The feed is cancelled once every engine has aborted; a feed
-// that outlives its engines has nothing left to simulate.
-func runBank(ctx context.Context, lp *interp.Program, cfgs []Config, broken error, run feed) ([]*RunStats, []error) {
-	stats := make([]*RunStats, len(cfgs))
-	errs := make([]error, len(cfgs))
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var (
-		engines []*engine
-		slots   []int // engine -> cfgs index
-		hs      []trace.Handler
-		limits  []int64
-		alive   int
-	)
-	defer func() {
-		for _, e := range engines {
-			e.releaseBuf()
-		}
-	}()
-	onFail := func() {
-		if alive--; alive == 0 {
-			cancel()
-		}
-	}
-	for i, cfg := range cfgs {
-		if err := cfg.Validate(); err != nil {
-			errs[i] = err
-			continue
-		}
-		if broken != nil {
-			errs[i] = broken
-			continue
-		}
-		e := newEngine(lp, cfg)
-		e.onFail = onFail
-		engines = append(engines, e)
-		slots = append(slots, i)
-		hs = append(hs, e)
-		limits = append(limits, cfg.StepLimit)
-	}
-	if len(engines) == 0 {
-		return stats, errs
-	}
-	alive = len(engines)
-	steps, ferr := run(ctx, hs, limits)
-	for j, e := range engines {
-		i := slots[j]
-		switch {
-		case e.failure != nil:
-			// The engine aborted from the inside; its cause outranks the
-			// feed's view of the resulting cancellation.
-			errs[i] = e.failure
-		case ferr != nil:
-			errs[i] = ferr
-		case limits[j] > 0 && limits[j] < steps:
-			errs[i] = interp.ErrStepLimit
-		default:
-			e.finish()
-			if e.failure != nil {
-				// Short traces fit entirely inside the lookahead window, so
-				// budget exhaustion can first surface while draining.
-				errs[i] = e.failure
-				continue
-			}
-			e.stats.Instrs = steps
-			stats[i] = e.stats
-		}
-	}
-	return stats, errs
 }
 
 // storeRec is one main-thread post-fork store for the speculative load
@@ -189,10 +88,10 @@ type specThread struct {
 	loop *LoopStats           // loop the fork belongs to
 }
 
-// engine is the trace-driven SPT simulation core. It buffers a sliding
-// window of events so the speculative thread can execute "future" trace
-// entries while the main thread is still behind, exactly like the paper's
-// two-pipeline trace simulator.
+// engine is the trace-driven SPT simulation core. It simulates behind a
+// sliding window of events so the speculative thread can execute "future"
+// trace entries while the main thread is still behind, exactly like the
+// paper's two-pipeline trace simulator.
 type engine struct {
 	lp    *interp.Program
 	cfg   Config
@@ -201,15 +100,11 @@ type engine struct {
 	main  *pipeline
 	stats *RunStats
 
-	// The event window is a ring of 2^k slots: absolute event index abs
-	// lives at buf[abs&mask]. Events [base, end) are buffered; compacting
-	// only advances base, and a full ring doubles.
-	buf  []trace.Event
-	mask int64
-	base int64 // absolute index of the oldest buffered event
-	end  int64 // absolute index of the next event to arrive
-	pos  int64 // absolute index of the next main-thread event
-	done bool
+	// The event window is the bank's recording, read in place: events
+	// [0, end) have arrived, and the engine reads none before low().
+	win *trace.Recording
+	end int64 // absolute index of the next event to arrive
+	pos int64 // absolute index of the next main-thread event
 
 	// In-flight speculative threads in spawn (= commit) order. On the
 	// classic 2-core machine at most one is armed; with Cores=N up to N-1
@@ -251,7 +146,6 @@ type engine struct {
 	regsScratch     []int64               // commit-time register tracking (absorb)
 	specFrames      frameStack[specFrame] // activations the current window's walk is inside
 	ssb             map[int64]int
-	snapPool        [][]int64 // recycled fork-snapshot buffers
 }
 
 // activation is the engine's record of one live function activation: its
@@ -274,11 +168,6 @@ func newEngine(lp *interp.Program, cfg Config) *engine {
 		stats:   st,
 		tracker: newLoopTracker(lp),
 	}
-	e.buf = grabBuf()
-	if e.buf == nil {
-		e.buf = make([]trace.Event, minRing)
-	}
-	e.mask = int64(len(e.buf) - 1)
 	nregs := make([]int, len(lp.IR.Funcs))
 	for i, f := range lp.IR.Funcs {
 		nregs[i] = f.NumRegs
@@ -295,34 +184,6 @@ func newEngine(lp *interp.Program, cfg Config) *engine {
 	e.ssb = map[int64]int{}
 	st.PerLoop = e.tracker.perLoop
 	return e
-}
-
-// minRing is the initial event-ring size; rings grow by doubling to the
-// live window's span (a few times cfg.Window).
-const minRing = 1 << 12
-
-// bufPool recycles event rings across engines. A ring grows to a few
-// megabytes on long traces, and a sweep builds one engine per variant —
-// without pooling every engine re-grows (and the runtime re-zeroes) that
-// array from scratch, which dominates the allocation profile.
-var bufPool sync.Pool
-
-// grabBuf returns a recycled event ring (a power-of-two length) or nil when
-// the pool is empty.
-func grabBuf() []trace.Event {
-	if v := bufPool.Get(); v != nil {
-		return *v.(*[]trace.Event)
-	}
-	return nil
-}
-
-// releaseBuf returns the engine's event ring to the pool once the run is
-// over, cleared so a pooled ring does not pin snapshot buffers.
-func (e *engine) releaseBuf() {
-	b := e.buf
-	e.buf = nil
-	clear(b)
-	bufPool.Put(&b)
 }
 
 // grabSpec returns a pooled speculative-thread record; its scratch slices
@@ -367,56 +228,32 @@ func (e *engine) fail(err error) {
 	}
 }
 
-// Quit implements trace.Quitter: a broadcast pass sheds the engine once it
-// has aborted (its Event is a no-op from then on).
-func (e *engine) Quit() bool { return e.failure != nil }
-
-// Event implements trace.Handler: buffer the event and simulate as far as
-// the lookahead window allows. Events whose coordinates do not resolve to a
-// loaded instruction abort the run with ErrCorruptTrace instead of
-// corrupting engine state.
-func (e *engine) Event(ev *trace.Event) {
-	if e.failure != nil {
-		return
-	}
-	if ev.Func < 0 || int(ev.Func) >= e.lp.NumFuncs() ||
-		ev.ID < 0 || int(ev.ID) >= e.lp.FuncInstrCount(ev.Func) {
-		e.fail(fmt.Errorf("%w: func=%d id=%d", ErrCorruptTrace, ev.Func, ev.ID))
-		return
-	}
-	if e.end-e.base == int64(len(e.buf)) {
-		e.compact()
-		if e.end-e.base == int64(len(e.buf)) {
-			e.grow()
-		}
-	}
-	slot := e.at(e.end)
-	if old := slot.Snapshot; old != nil {
-		// The slot's previous event was dropped; nothing aliases its
-		// snapshot (speculative threads copy fork snapshots).
-		e.snapPool = append(e.snapPool, old)
-	}
-	*slot = *ev
-	if ev.Snapshot != nil {
-		// The producer reuses its snapshot buffer, so the buffered event
-		// needs its own copy.
-		var buf []int64
-		if n := len(e.snapPool); n > 0 {
-			buf = e.snapPool[n-1]
-			e.snapPool = e.snapPool[:n-1]
-		}
-		slot.Snapshot = append(buf[:0], ev.Snapshot...)
-	}
-	e.end++
+// advance lets events up to (not including) to arrive, simulating after
+// each arrival as far as the lookahead window allows. Arrivals that leave
+// the window no fuller than the lookahead trigger no step, so they are
+// taken in one jump: every step sees the window end that one-at-a-time
+// arrival would have shown it.
+func (e *engine) advance(to int64) {
 	lookahead := int64(e.cfg.Window)
-	for e.failure == nil && e.end-e.pos > lookahead && e.pos < e.end {
-		e.step()
+	for e.failure == nil && e.end < to {
+		e.end = min(to, max(e.end+1, e.pos+lookahead+1))
+		for e.failure == nil && e.end-e.pos > lookahead && e.pos < e.end {
+			e.step()
+		}
 	}
+}
+
+// low is the oldest window event the engine can still read: the main
+// thread's next event, or the oldest in-flight thread's fork.
+func (e *engine) low() int64 {
+	if len(e.specs) > 0 && e.specs[0].forkPos < e.pos {
+		return e.specs[0].forkPos
+	}
+	return e.pos
 }
 
 // finish drains the remaining events after the trace ends.
 func (e *engine) finish() {
-	e.done = true
 	for e.failure == nil && e.pos < e.end {
 		e.step()
 	}
@@ -428,30 +265,6 @@ func (e *engine) finish() {
 	// Fold issue slots into execution cycles.
 	e.stats.Breakdown.Exec += (e.stats.Breakdown.IssueSlots + int64(e.cfg.IssueWidth) - 1) / int64(e.cfg.IssueWidth)
 	e.stats.Breakdown.IssueSlots = 0
-}
-
-// compact drops buffered events no longer reachable by any consumer by
-// advancing base; the dropped slots are overwritten by later events.
-func (e *engine) compact() {
-	e.base = e.pos
-	if len(e.specs) > 0 && e.specs[0].forkPos < e.base {
-		e.base = e.specs[0].forkPos // oldest thread: smallest fork position
-	}
-}
-
-// grow doubles the event ring, re-homing the buffered events.
-func (e *engine) grow() {
-	nb := make([]trace.Event, 2*len(e.buf))
-	mask := int64(len(nb) - 1)
-	for abs := e.base; abs < e.end; abs++ {
-		nb[abs&mask] = *e.at(abs)
-	}
-	e.buf, e.mask = nb, mask
-}
-
-// at returns the buffered event at absolute index abs.
-func (e *engine) at(abs int64) *trace.Event {
-	return &e.buf[abs&e.mask]
 }
 
 // step processes one main-thread event.
@@ -467,8 +280,8 @@ func (e *engine) step() {
 		// from there on the next step.
 		return
 	}
-	ev := e.at(e.pos)
-	in := e.lp.InstrAt(ev.Func, ev.ID)
+	ev := e.win.At(e.pos)
+	in := e.lp.InstrAt(ev.Func(), ev.ID())
 
 	e.bookkeep(ev, in, e.pos)
 	_, complete := e.main.exec(ev, in, e.hier, e.bp, true)
@@ -477,7 +290,7 @@ func (e *engine) step() {
 	switch in.Op {
 	case ir.SptFork:
 		if e.cfg.SPT {
-			e.handleFork(ev, complete)
+			e.handleFork(ev, e.win.Snapshot(e.pos), complete, e.pos, e.pos+1)
 		}
 	case ir.SptKill:
 		// Loop exit retires the whole chain: every in-flight thread ran
@@ -497,7 +310,7 @@ func (e *engine) step() {
 			clear(e.chainSSB)
 		}
 	case ir.Ret:
-		e.main.dropFrame(ev.Frame)
+		e.main.dropFrame(ev.Frame())
 	}
 	e.pos++
 }
@@ -507,8 +320,8 @@ func (e *engine) step() {
 // must see every event exactly once, in trace order; pos is the event's
 // absolute trace index, so threads forked later in the trace (whose
 // register copy already reflects earlier events) skip them.
-func (e *engine) bookkeep(ev *trace.Event, in *ir.Instr, pos int64) {
-	ai := e.acts.find(ev.Frame)
+func (e *engine) bookkeep(ev trace.View, in *ir.Instr, pos int64) {
+	ai := e.acts.find(ev.Frame())
 	if ai < 0 {
 		ai = e.openActivation(ev)
 		if ai < 0 {
@@ -516,9 +329,9 @@ func (e *engine) bookkeep(ev *trace.Event, in *ir.Instr, pos int64) {
 		}
 	}
 	fi := e.acts.recs[ai]
-	fi.lastID = ev.ID
+	fi.lastID = ev.ID()
 
-	e.curLoop = e.tracker.observe(&fi.loops, ev.Func, ev.ID, in.Op == ir.Ret)
+	e.curLoop = e.tracker.observe(&fi.loops, ev.Func(), ev.ID(), in.Op == ir.Ret)
 
 	for _, s := range e.specs {
 		if pos <= s.forkPos {
@@ -531,17 +344,17 @@ func (e *engine) bookkeep(ev *trace.Event, in *ir.Instr, pos int64) {
 		// injection): out-of-range registers simply aren't tracked.
 		switch in.Op {
 		case ir.Store:
-			s.stores = append(s.stores, storeRec{addr: ev.Addr, time: e.main.now()})
+			s.stores = append(s.stores, storeRec{addr: ev.Addr(), time: e.main.now()})
 		case ir.Ret:
 			// A return into the loop frame writes the call's destination.
 			if fi.parent == s.frame && fi.retDst != ir.NoReg && int(fi.retDst) < len(s.mainRegs) {
-				s.mainRegs[fi.retDst] = ev.Val
+				s.mainRegs[fi.retDst] = ev.Val()
 				s.written[fi.retDst] = true
 			}
 		}
-		if ev.Frame == s.frame {
+		if ev.Frame() == s.frame {
 			if d := in.Def(); d != ir.NoReg && int(d) < len(s.mainRegs) {
-				s.mainRegs[d] = ev.Val
+				s.mainRegs[d] = ev.Val()
 				s.written[d] = true
 			}
 		}
@@ -558,45 +371,41 @@ func (e *engine) bookkeep(ev *trace.Event, in *ir.Instr, pos int64) {
 // innermost live activation's cannot open an activation in a trace
 // produced in call order: the engine fails with ErrCorruptTrace and
 // returns -1.
-func (e *engine) openActivation(ev *trace.Event) int {
+func (e *engine) openActivation(ev trace.View) int {
 	parent, retDst := int64(-1), ir.NoReg
 	if n := len(e.acts.ids); n > 0 {
 		top, caller := e.acts.ids[n-1], e.acts.recs[n-1]
-		if top >= ev.Frame {
-			e.fail(fmt.Errorf("%w: activation %d opens inside live activation %d", ErrCorruptTrace, ev.Frame, top))
+		if top >= ev.Frame() {
+			e.fail(fmt.Errorf("%w: activation %d opens inside live activation %d", ErrCorruptTrace, ev.Frame(), top))
 			return -1
 		}
 		if pin := e.lp.InstrAt(caller.fn, caller.lastID); pin.Op == ir.Call {
 			parent, retDst = top, pin.Dst
 		}
 	}
-	a := e.acts.open(ev.Frame)
-	a.parent, a.retDst, a.fn = parent, retDst, ev.Func
+	a := e.acts.open(ev.Frame())
+	a.parent, a.retDst, a.fn = parent, retDst, ev.Func()
 	a.loops.reset()
 	return len(e.acts.ids) - 1
 }
 
-// handleFork arms a speculative core if one is idle.
-func (e *engine) handleFork(ev *trace.Event, complete int64) {
-	e.handleForkFrom(ev, ev.Frame, complete, e.pos, e.pos+1)
-}
-
-// handleForkFrom arms a speculative core for a fork event observed at
-// forkPos, scanning for the start-point from scanFrom onward. Re-forks
-// after a commit pass scanFrom = the commit end, since earlier occurrences
-// of the start block were already absorbed.
-func (e *engine) handleForkFrom(ev *trace.Event, frame int64, complete, forkPos, scanFrom int64) {
+// handleFork arms a speculative core for a fork event observed at forkPos
+// with register context snap, scanning for the start-point from scanFrom
+// onward. Re-forks after a commit pass scanFrom = the commit end, since
+// earlier occurrences of the start block were already absorbed.
+func (e *engine) handleFork(ev trace.View, snap []int64, complete, forkPos, scanFrom int64) {
+	frame := ev.Frame()
 	if len(e.coreFree) == 0 {
 		e.stats.NoForks++
 		return
 	}
-	in := e.lp.InstrAt(ev.Func, ev.ID)
-	bi := e.lp.LabelIndex(ev.Func, in.Target)
+	in := e.lp.InstrAt(ev.Func(), ev.ID())
+	bi := e.lp.LabelIndex(ev.Func(), in.Target)
 	if bi < 0 {
 		e.stats.NoForks++
 		return
 	}
-	startID := e.lp.BlockStart(ev.Func, bi)
+	startID := e.lp.BlockStart(ev.Func(), bi)
 	startPos := e.findStart(frame, startID, scanFrom)
 	if startPos < 0 {
 		// The target iteration never begins inside the lookahead window:
@@ -613,7 +422,7 @@ func (e *engine) handleForkFrom(ev *trace.Event, frame int64, complete, forkPos,
 		e.stats.NoForks++
 		return
 	}
-	e.armThread(ev, frame, complete, forkPos, bi, startID, startPos, e.curLoop)
+	e.armThread(ev, snap, frame, complete, forkPos, bi, startID, startPos, e.curLoop)
 }
 
 // findStart locates the start-point: the stride-th next occurrence of the
@@ -622,33 +431,34 @@ func (e *engine) handleForkFrom(ev *trace.Event, frame int64, complete, forkPos,
 func (e *engine) findStart(frame int64, startID int32, scanFrom int64) int64 {
 	seen := 0
 	for p := scanFrom; p < e.end; p++ {
-		x := e.at(p)
-		if x.Frame != frame {
+		x := e.win.At(p)
+		if x.Frame() != frame {
 			continue
 		}
-		if x.ID == startID {
+		if x.ID() == startID {
 			if seen++; seen >= e.sched.Stride() {
 				return p
 			}
 			continue
 		}
-		if e.lp.InstrAt(x.Func, x.ID).Op == ir.Ret {
+		if e.lp.InstrAt(x.Func(), x.ID()).Op == ir.Ret {
 			break // the loop frame returns before reaching the start-point
 		}
 	}
 	return -1
 }
 
-// armThread claims a speculative core and arms a thread on it. The fork
-// time is the fork's completion plus the register-file copy (plus the
-// live-in pre-computation slice in slice mode), but never earlier than the
-// moment the claimed core became free.
-func (e *engine) armThread(ev *trace.Event, frame int64, complete, forkPos int64, bi, startID int32, startPos int64, loop *LoopStats) *specThread {
+// armThread claims a speculative core and arms a thread on it, copying the
+// fork's register context snap. The fork time is the fork's completion
+// plus the register-file copy (plus the live-in pre-computation slice in
+// slice mode), but never earlier than the moment the claimed core became
+// free.
+func (e *engine) armThread(ev trace.View, snap []int64, frame int64, complete, forkPos int64, bi, startID int32, startPos int64, loop *LoopStats) *specThread {
 	s := e.grabSpec()
 	s.forkPos = forkPos
 	desired := complete + int64(e.cfg.RFCopyCycles)
 	if e.planner != nil {
-		s.plan = e.planner.Plan(ev.Func, bi)
+		s.plan = e.planner.Plan(ev.Func(), bi)
 		desired += s.plan.Cycles
 	}
 	if free := e.claimCore(); free > desired {
@@ -656,16 +466,16 @@ func (e *engine) armThread(ev *trace.Event, frame int64, complete, forkPos int64
 	}
 	s.forkTime = desired
 	s.frame = frame
-	s.fn = ev.Func
+	s.fn = ev.Func()
 	s.startID = startID
 	s.startPos = startPos
 	s.chainID = e.chain.Spawn()
 	s.loop = loop
 	s.stores = s.stores[:0]
 	s.inherit = s.inherit[:0]
-	if n := len(ev.Snapshot); n > 0 {
-		s.snapshot = append(s.snapshot[:0], ev.Snapshot...)
-		s.mainRegs = append(s.mainRegs[:0], ev.Snapshot...)
+	if n := len(snap); n > 0 {
+		s.snapshot = append(s.snapshot[:0], snap...)
+		s.mainRegs = append(s.mainRegs[:0], snap...)
 		if cap(s.written) < n {
 			s.written = make([]bool, n)
 		} else {

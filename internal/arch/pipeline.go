@@ -131,7 +131,7 @@ const InstrBytes = 5
 // exec issues one traced instruction and returns its issue and completion
 // times. mem provides load latencies (nil for a pure timing probe); bp may
 // be nil to skip branch prediction.
-func (p *pipeline) exec(ev *trace.Event, in *ir.Instr, hier *cache.Hierarchy, bp *bpred.GAg, account bool) (issue, complete int64) {
+func (p *pipeline) exec(ev trace.View, in *ir.Instr, hier *cache.Hierarchy, bp *bpred.GAg, account bool) (issue, complete int64) {
 	// Slot discipline: at most width instructions per cycle, in order.
 	if p.slots >= p.width {
 		p.cycle++
@@ -140,7 +140,7 @@ func (p *pipeline) exec(ev *trace.Event, in *ir.Instr, hier *cache.Hierarchy, bp
 	// Instruction fetch: a synthetic PC (function base + id) probes the
 	// shared L1I; a miss stalls the front end for the extra latency.
 	if hier != nil {
-		pc := (int64(ev.Func) << 24) + int64(ev.ID)*InstrBytes
+		pc := (int64(ev.Func()) << 24) + int64(ev.ID())*InstrBytes
 		if extra := int64(hier.Instr(pc, p.cycle) - 1); extra > 0 {
 			p.cycle += extra
 			p.slots = 0
@@ -157,7 +157,7 @@ func (p *pipeline) exec(ev *trace.Event, in *ir.Instr, hier *cache.Hierarchy, bp
 	var uses [4]ir.Reg
 	us := in.Uses(uses[:0])
 	if len(us) > 0 {
-		b := p.board(ev.Frame, ev.Func, false)
+		b := p.board(ev.Frame(), ev.Func(), false)
 		for _, r := range us {
 			if t, fl := b.get(r); t > opReady {
 				opReady = t
@@ -197,16 +197,16 @@ func (p *pipeline) exec(ev *trace.Event, in *ir.Instr, hier *cache.Hierarchy, bp
 	switch in.Op {
 	case ir.Load:
 		if hier != nil {
-			lat = int64(hier.Data(ev.Addr, start))
+			lat = int64(hier.Data(ev.Addr(), start))
 		}
 	case ir.Store:
 		if hier != nil {
-			hier.Data(ev.Addr, start) // warms/updates the shared cache
+			hier.Data(ev.Addr(), start) // warms/updates the shared cache
 		}
 		lat = 1
 	case ir.Br:
 		if bp != nil {
-			if !bp.Predict(ev.Taken) {
+			if !bp.Predict(ev.Taken()) {
 				p.redirect = start + lat + int64(p.penalty)
 			}
 		}
@@ -214,7 +214,7 @@ func (p *pipeline) exec(ev *trace.Event, in *ir.Instr, hier *cache.Hierarchy, bp
 	complete = start + lat
 
 	if d := in.Def(); d != ir.NoReg {
-		p.board(ev.Frame, ev.Func, true).set(d, complete, in.Op == ir.Load)
+		p.board(ev.Frame(), ev.Func(), true).set(d, complete, in.Op == ir.Load)
 	}
 	return start, complete
 }

@@ -191,8 +191,8 @@ func (e *engine) commitWindow() {
 	e.main.advanceTo(arrival + commitCost)
 	// Re-execute misspeculated instructions with their true latencies.
 	for _, i := range reexecEntries {
-		ev := e.at(entries[i].pos)
-		in := e.lp.InstrAt(ev.Func, ev.ID)
+		ev := e.win.At(entries[i].pos)
+		in := e.lp.InstrAt(ev.Func(), ev.ID())
 		e.main.exec(ev, in, e.hier, nil, true)
 	}
 	e.main.advanceTo(e.main.now() + int64(e.cfg.FastCommitCycles)) // register copy-back on commit
@@ -276,19 +276,19 @@ func (e *engine) absorb(entries []srbEntry, s *specThread) {
 		copy(regs, s.mainRegs)
 	}
 	for i := range entries {
-		ev := e.at(entries[i].pos)
-		in := e.lp.InstrAt(ev.Func, ev.ID)
+		ev := e.win.At(entries[i].pos)
+		in := e.lp.InstrAt(ev.Func(), ev.ID())
 		if regs != nil {
 			if in.Op == ir.Ret {
-				if ai := e.acts.find(ev.Frame); ai >= 0 {
+				if ai := e.acts.find(ev.Frame()); ai >= 0 {
 					if fi := e.acts.recs[ai]; fi.parent == s.frame && fi.retDst != ir.NoReg && int(fi.retDst) < len(regs) {
-						regs[fi.retDst] = ev.Val
+						regs[fi.retDst] = ev.Val()
 					}
 				}
 			}
-			if ev.Frame == s.frame {
+			if ev.Frame() == s.frame {
 				if d := in.Def(); d != ir.NoReg && int(d) < len(regs) {
-					regs[d] = ev.Val
+					regs[d] = ev.Val()
 				}
 			}
 		}
@@ -296,12 +296,12 @@ func (e *engine) absorb(entries []srbEntry, s *specThread) {
 		// Register readiness for subsequently executed main instructions:
 		// committed results are available at commit time.
 		if d := in.Def(); d != ir.NoReg {
-			e.main.setReady(ev.Frame, ev.Func, d, e.main.now(), false)
+			e.main.setReady(ev.Frame(), ev.Func(), d, e.main.now(), false)
 		}
 		if in.Op == ir.Ret {
-			e.main.dropFrame(ev.Frame)
+			e.main.dropFrame(ev.Frame())
 		}
-		if in.Op == ir.SptFork && ev.Frame == s.frame {
+		if in.Op == ir.SptFork && ev.Frame() == s.frame {
 			// Only forks of the same loop activation can be re-armed with
 			// the tracked register context; forks reached in other frames
 			// (e.g. a later loop entered after this one exited) fire again
@@ -318,12 +318,12 @@ func (e *engine) absorb(entries []srbEntry, s *specThread) {
 	// iterations, so the re-arm only fires once the chain has drained.
 	if e.cfg.SPT && forkIdx >= 0 && len(e.specs) == 0 {
 		fe := entries[forkIdx]
-		ev := e.at(fe.pos)
-		cp := *ev
-		if regs != nil {
-			cp.Snapshot = regs
+		ev := e.win.At(fe.pos)
+		snap := regs
+		if regs == nil {
+			snap = e.win.Snapshot(fe.pos)
 		}
-		e.handleForkFrom(&cp, ev.Frame, e.main.now(), fe.pos, e.pos)
+		e.handleFork(ev, snap, e.main.now(), fe.pos, e.pos)
 	}
 }
 
@@ -339,14 +339,14 @@ func (e *engine) spawnInWalk(parent *specThread, pos, complete int64, entries []
 		e.stats.NoForks++
 		return nil
 	}
-	ev := e.at(pos)
-	in := e.lp.InstrAt(ev.Func, ev.ID)
-	bi := e.lp.LabelIndex(ev.Func, in.Target)
+	ev := e.win.At(pos)
+	in := e.lp.InstrAt(ev.Func(), ev.ID())
+	bi := e.lp.LabelIndex(ev.Func(), in.Target)
 	if bi < 0 {
 		e.stats.NoForks++
 		return nil
 	}
-	startID := e.lp.BlockStart(ev.Func, bi)
+	startID := e.lp.BlockStart(ev.Func(), bi)
 	startPos := e.findStart(parent.frame, startID, pos+1)
 	if startPos < 0 {
 		e.stats.NoForks++
@@ -356,7 +356,7 @@ func (e *engine) spawnInWalk(parent *specThread, pos, complete int64, entries []
 		e.stats.NoForks++
 		return nil
 	}
-	s := e.armThread(ev, parent.frame, complete, pos, bi, startID, startPos, parent.loop)
+	s := e.armThread(ev, e.win.Snapshot(pos), parent.frame, complete, pos, bi, startID, startPos, parent.loop)
 	if n := len(s.snapshot); n > 0 {
 		if cap(s.inherit) < n {
 			s.inherit = make([]bool, n)
@@ -447,11 +447,11 @@ func (e *engine) runSpec(s *specThread, arrival int64) []srbEntry {
 		if pos == stopAt {
 			break // the successor thread's iteration range starts here
 		}
-		ev := e.at(pos)
-		in := e.lp.InstrAt(ev.Func, ev.ID)
+		ev := e.win.At(pos)
+		in := e.lp.InstrAt(ev.Func(), ev.ID())
 
-		if cur == nil || ev.Frame != cur.frame {
-			if cur = e.specFrameOf(ev.Frame); cur == nil {
+		if cur == nil || ev.Frame() != cur.frame {
+			if cur = e.specFrameOf(ev.Frame()); cur == nil {
 				cur = e.enterSpecFrame(s, ev, pos, len(entries)-1)
 			}
 		}
@@ -482,13 +482,13 @@ func (e *engine) runSpec(s *specThread, arrival int64) []srbEntry {
 		var memLat int64
 		switch in.Op {
 		case ir.Load:
-			if si, ok := ssb[ev.Addr]; ok {
+			if si, ok := ssb[ev.Addr()]; ok {
 				// Store-buffer forwarding: inherits the store's validity.
 				if entries[si].misspec {
 					miss = true
 				}
 				memLat = 1
-			} else if mi, ok := chainLookup(e.chainSSB, ev.Addr); ok {
+			} else if mi, ok := chainLookup(e.chainSSB, ev.Addr()); ok {
 				// Forwarding from a committed predecessor window's store
 				// buffer, validity inherited through the version chain.
 				if mi {
@@ -496,11 +496,11 @@ func (e *engine) runSpec(s *specThread, arrival int64) []srbEntry {
 				}
 				memLat = 1
 			} else {
-				memLat = int64(e.hier.Data(ev.Addr, issue))
+				memLat = int64(e.hier.Data(ev.Addr(), issue))
 				// Load address buffer: any architectural post-fork store to
 				// this address at or after the load's issue is a violation.
 				for _, st := range s.stores {
-					if st.addr == ev.Addr && st.time >= issue {
+					if st.addr == ev.Addr() && st.time >= issue {
 						miss = true
 						break
 					}
@@ -508,10 +508,10 @@ func (e *engine) runSpec(s *specThread, arrival int64) []srbEntry {
 			}
 			complete = issue + memLat
 			if d := in.Def(); d != ir.NoReg {
-				sp.setReady(ev.Frame, ev.Func, d, complete, true)
+				sp.setReady(ev.Frame(), ev.Func(), d, complete, true)
 			}
 		case ir.Store:
-			ssb[ev.Addr] = len(entries)
+			ssb[ev.Addr()] = len(entries)
 		case ir.SptFork:
 			if e.cfg.SPT && cur == loop {
 				if ns := e.spawnInWalk(s, pos, complete, entries, loop.writers[:len(violated)], violated); ns != nil {
@@ -528,8 +528,8 @@ func (e *engine) runSpec(s *specThread, arrival int64) []srbEntry {
 				sp.setReady(cur.parent, -1, cur.retDst, complete, false)
 			}
 			// No event of a returned activation follows its Ret.
-			sp.dropFrame(ev.Frame)
-			e.specFrames.drop(e.specFrames.find(ev.Frame))
+			sp.dropFrame(ev.Frame())
+			e.specFrames.drop(e.specFrames.find(ev.Frame()))
 			cur = nil
 		}
 		if d := in.Def(); d != ir.NoReg {
@@ -552,20 +552,20 @@ func (e *engine) runSpec(s *specThread, arrival int64) []srbEntry {
 // whose SRB entry (callIdx) the parameters inherit their validity from.
 // Under event-drop fault injection the Call entry may be missing; the
 // parameters are then treated as clean.
-func (e *engine) enterSpecFrame(s *specThread, ev *trace.Event, pos int64, callIdx int) *specFrame {
+func (e *engine) enterSpecFrame(s *specThread, ev trace.View, pos int64, callIdx int) *specFrame {
 	if pos > s.startPos {
-		prev := e.at(pos - 1)
-		if pin := e.lp.InstrAt(prev.Func, prev.ID); pin.Op == ir.Call {
-			f := e.openSpecFrame(ev.Frame, e.main.nregs[ev.Func], prev.Frame, pin.Dst)
+		prev := e.win.At(pos - 1)
+		if pin := e.lp.InstrAt(prev.Func(), prev.ID()); pin.Op == ir.Call {
+			f := e.openSpecFrame(ev.Frame(), e.main.nregs[ev.Func()], prev.Frame(), pin.Dst)
 			if callIdx >= 0 {
-				for pr := 0; pr < e.lp.IR.Funcs[ev.Func].NumParams; pr++ {
+				for pr := 0; pr < e.lp.IR.Funcs[ev.Func()].NumParams; pr++ {
 					f.writers[pr] = int32(callIdx)
 				}
 			}
 			return f
 		}
 	}
-	return e.openSpecFrame(ev.Frame, e.main.nregs[ev.Func], -1, ir.NoReg)
+	return e.openSpecFrame(ev.Frame(), e.main.nregs[ev.Func()], -1, ir.NoReg)
 }
 
 // chainLookup probes the chain SSB, skipping the map access entirely when

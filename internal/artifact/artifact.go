@@ -86,9 +86,9 @@ type entry struct {
 	err  error
 	elem *list.Element
 
-	// bytes is the completed value's CacheBytes (0 for unsized values). It
-	// is written before done closes and read only by eviction paths, which
-	// all require a completed entry.
+	// bytes is what the entry counts against the byte bound: a running
+	// capture's chunks while it is in flight, the completed value's
+	// CacheBytes afterwards (0 for unsized values). Guarded by Cache.mu.
 	bytes int64
 
 	// Integrity (when enabled on the cache): sum is the sha256 of the
@@ -119,7 +119,18 @@ type Cache struct {
 	lru      *list.List // element values are keys; front = most recent
 	max      int        // entry cap (0 = unbounded)
 	maxBytes int64      // byte cap over Sized values (0 = unbounded)
-	curBytes int64      // resident Sized bytes; guarded by mu
+	curBytes int64      // resident Sized bytes, running captures included; guarded by mu
+
+	// Recording chunks. capBytes is the part of curBytes that running
+	// captures hold. free holds chunks of evicted recordings whose last
+	// reference is gone, kept only while curBytes+freeBytes stays within
+	// maxBytes; captures take from it before allocating. dropped collects
+	// the recordings an eviction removed under mu, whose cache reference
+	// unlock releases. All guarded by mu.
+	capBytes  int64
+	free      []*trace.Chunk
+	freeBytes int64
+	dropped   []*trace.Recording
 
 	hits      atomic.Int64
 	misses    atomic.Int64
@@ -242,7 +253,8 @@ type Stats struct {
 
 	RecordingHits   int64 // recording lookups that coalesced onto an existing capture
 	RecordingMisses int64 // recording lookups that had to interpret
-	Bytes           int64 // resident bytes of Sized artifacts (recordings)
+	Bytes           int64 // resident bytes of Sized artifacts (recordings), running captures included
+	CaptureBytes    int64 // bytes of chunks running captures hold
 }
 
 // HitRatio returns Hits / (Hits + Misses), or 0 before any traffic.
@@ -260,7 +272,7 @@ func (c *Cache) Stats() Stats {
 	}
 	c.mu.Lock()
 	n := len(c.entries)
-	bytes := c.curBytes
+	bytes, capBytes := c.curBytes, c.capBytes
 	c.mu.Unlock()
 	return Stats{
 		Hits:               c.hits.Load(),
@@ -271,6 +283,7 @@ func (c *Cache) Stats() Stats {
 		RecordingHits:      c.recHits.Load(),
 		RecordingMisses:    c.recMisses.Load(),
 		Bytes:              bytes,
+		CaptureBytes:       capBytes,
 	}
 }
 
@@ -302,11 +315,17 @@ func (c *Cache) Reset() {
 	c.mu.Lock()
 	for _, e := range c.entries {
 		e.elem = nil // detach so late evict/complete paths ignore the old list
+		if e.completed() {
+			c.dropLocked(e)
+		} else {
+			e.bytes = 0 // a running capture's charge leaves with its entry
+		}
 	}
 	c.entries = nil
 	c.lru = nil
-	c.curBytes = 0
-	c.mu.Unlock()
+	c.curBytes, c.capBytes = 0, 0
+	c.free, c.freeBytes = nil, 0
+	c.unlock()
 	c.hits.Store(0)
 	c.misses.Store(0)
 	c.evictions.Store(0)
@@ -336,6 +355,7 @@ func (c *Cache) enforceCapLocked() {
 			c.lru.Remove(el)
 			e.elem = nil
 			c.curBytes -= e.bytes
+			c.dropLocked(e)
 			c.evictions.Add(1)
 		}
 		el = prev
@@ -357,8 +377,30 @@ func (c *Cache) staleLocked(k key, e *entry) bool {
 		e.elem = nil
 	}
 	c.curBytes -= e.bytes
+	c.dropLocked(e)
 	c.integrityEvictions.Add(1)
 	return true
+}
+
+// dropLocked queues the cache's reference to a removed entry's recording
+// for release by unlock: the recording's chunks are recycled once its
+// last lease ends. Must be called with c.mu held.
+func (c *Cache) dropLocked(e *entry) {
+	if r, ok := e.val.(*trace.Recording); ok && r != nil && e.err == nil {
+		c.dropped = append(c.dropped, r)
+	}
+}
+
+// unlock releases c.mu, then the cache's references to the recordings
+// evicted while it was held. Releasing may recycle chunks into the free
+// list, which takes c.mu again.
+func (c *Cache) unlock() {
+	drop := c.dropped
+	c.dropped = nil
+	c.mu.Unlock()
+	for _, r := range drop {
+		r.Release()
+	}
 }
 
 // claimLocked installs a fresh in-flight entry for k. Must be called with
@@ -378,49 +420,56 @@ func (c *Cache) claimLocked(k key) *entry {
 
 // complete publishes a claimed entry's result: failed computations are
 // evicted so the next caller retries, successful ones record their
-// integrity checksum and byte footprint, and done is closed on every path
-// so waiters never block forever.
+// integrity checksum and byte footprint (replacing a capture's running
+// charge), and done is closed on every path so waiters never block
+// forever. A completed recording carries the reference the cache holds
+// until the entry is evicted.
 func (c *Cache) complete(k key, e *entry) {
-	if e.err != nil {
-		c.evict(k, e)
-	} else {
+	var size int64
+	if e.err == nil {
 		if c.integrity.Load() {
 			e.sum, e.summed = checksumOf(e.val) // before close: hits read after <-done
 		}
 		if s, ok := e.val.(Sized); ok {
-			// Record the footprint before done closes: every eviction
-			// path requires a completed entry, so the add below is
-			// always observed before any subtract.
-			e.bytes = s.CacheBytes()
-			c.mu.Lock()
-			if c.entries[k] == e {
-				c.curBytes += e.bytes
-			} else {
-				e.bytes = 0 // detached by a concurrent Reset
+			size = s.CacheBytes()
+		}
+	}
+	c.mu.Lock()
+	if c.entries[k] == e {
+		c.curBytes -= e.bytes
+		c.capBytes -= e.bytes
+		e.bytes = 0
+		if e.err != nil {
+			delete(c.entries, k)
+			if e.elem != nil && c.lru != nil {
+				c.lru.Remove(e.elem)
+				e.elem = nil
 			}
-			c.mu.Unlock()
+		} else {
+			e.bytes = size
+			c.curBytes += size
 		}
 	}
 	close(e.done)
 	// Now that this entry is evictable, re-check the bound: inserts that
 	// happened while it was in-flight may have left an overflow.
-	c.mu.Lock()
 	c.enforceCapLocked()
-	c.mu.Unlock()
+	c.unlock()
 }
 
-// do returns the cached value for k, computing it with fn on first use.
-// Concurrent callers for the same key share one computation.
-func (c *Cache) do(k key, fn func() (any, error)) (any, error) {
+// do returns the cached value for k, computing it with fn on first use;
+// fn receives its in-flight entry (nil on a nil cache). Concurrent callers
+// for the same key share one computation.
+func (c *Cache) do(k key, fn func(e *entry) (any, error)) (any, error) {
 	if c == nil {
-		return fn()
+		return fn(nil)
 	}
 	c.mu.Lock()
 	if e, ok := c.entries[k]; ok && !c.staleLocked(k, e) {
 		if e.elem != nil && c.lru != nil {
 			c.lru.MoveToFront(e.elem)
 		}
-		c.mu.Unlock()
+		c.unlock()
 		c.hits.Add(1)
 		if k.kind == kindRecording {
 			c.recHits.Add(1)
@@ -430,7 +479,7 @@ func (c *Cache) do(k key, fn func() (any, error)) (any, error) {
 	}
 	e := c.claimLocked(k)
 	c.enforceCapLocked()
-	c.mu.Unlock()
+	c.unlock()
 	c.misses.Add(1)
 	if k.kind == kindRecording {
 		c.recMisses.Add(1)
@@ -444,28 +493,13 @@ func (c *Cache) do(k key, fn func() (any, error)) (any, error) {
 		}
 		c.complete(k, e)
 	}()
-	e.val, e.err = fn()
+	e.val, e.err = fn(e)
 	return e.val, e.err
-}
-
-// evict removes the entry for k if it is still the one we installed (a
-// Reset may have dropped the whole map in between).
-func (c *Cache) evict(k key, e *entry) {
-	c.mu.Lock()
-	if c.entries[k] == e {
-		delete(c.entries, k)
-		if e.elem != nil && c.lru != nil {
-			c.lru.Remove(e.elem)
-			e.elem = nil
-		}
-		c.curBytes -= e.bytes
-	}
-	c.mu.Unlock()
 }
 
 // cached adapts do to a typed computation.
 func cached[T any](c *Cache, k key, fn func() (T, error)) (T, error) {
-	v, err := c.do(k, func() (any, error) { return fn() })
+	v, err := c.do(k, func(*entry) (any, error) { return fn() })
 	if t, ok := v.(T); ok {
 		return t, err
 	}
@@ -556,7 +590,7 @@ func (c *Cache) SimulateBatch(p *ir.Program, cfgs []arch.Config, compute func(mi
 		misses++
 	}
 	c.enforceCapLocked()
-	c.mu.Unlock()
+	c.unlock()
 	c.hits.Add(hits)
 	c.misses.Add(misses)
 
@@ -602,30 +636,68 @@ func (c *Cache) SimulateBatch(p *ir.Program, cfgs []arch.Config, compute func(mi
 	return out, errs
 }
 
-// Recording memoizes a captured execution trace of program p, keyed by the
-// program fingerprint and the step limit it was captured under (a limit is
-// part of the trace's identity: a capture that exceeds it fails, and errors
-// are never cached). Concurrent simulations of the same program coalesce
-// onto one interpretation and replay the shared capture; the recording is
-// read-only for every caller (replay never mutates it) and must not be
-// Released while the cache can still serve it.
-func (c *Cache) Recording(p *ir.Program, stepLimit int64, fn func() (*trace.Recording, error)) (*trace.Recording, error) {
-	k := key{kind: kindRecording, a: Fingerprint(p), b: fmt.Sprintf("limit=%d", stepLimit)}
-	return cached(c, k, fn)
+// recordingKey identifies the recording of p captured under stepLimit (a
+// limit is part of the trace's identity: a capture that exceeds it fails,
+// and errors are never cached).
+func recordingKey(p *ir.Program, stepLimit int64) key {
+	return key{kind: kindRecording, a: Fingerprint(p), b: fmt.Sprintf("limit=%d", stepLimit)}
 }
 
-// ReleaseRecordings evicts every completed recording and returns their
-// chunk storage to the shared pool. It is ONLY safe on a private cache
-// whose users have all finished: a released recording's chunks are
-// immediately reusable, so releasing under a still-running replayer
-// corrupts that replay. Sweep-local caches call this after their last
-// variant joins; long-lived shared caches (the daemon) must rely on LRU
-// eviction plus garbage collection instead.
+// LeaseRecording returns the captured execution trace of p under
+// stepLimit, capturing it with capture on a miss. Concurrent callers
+// coalesce onto one capture. The recording comes with a lease: the caller
+// must Release it exactly once when done reading, and the cache recycles
+// its chunks once it has been evicted and every lease has ended.
+//
+// capture fills its recording from the given chunk source: the cache
+// charges each chunk against its byte bound as the capture takes it,
+// evicting least recently used recordings when the charge overflows, and
+// hands their chunks straight to the capture.
+func (c *Cache) LeaseRecording(p *ir.Program, stepLimit int64, capture func(src trace.ChunkSource) (*trace.Recording, error)) (*trace.Recording, error) {
+	k := recordingKey(p, stepLimit)
+	for {
+		leased := false
+		v, err := c.do(k, func(e *entry) (any, error) {
+			var src trace.ChunkSource
+			if e != nil {
+				src = &captureSource{c: c, k: k, e: e}
+			}
+			rec, err := capture(src)
+			if err == nil && rec != nil {
+				// The capture's own reference becomes the cache's; the
+				// caller's lease is taken before anyone can evict it.
+				leased = c == nil || rec.Retain()
+			}
+			return rec, err
+		})
+		rec, _ := v.(*trace.Recording)
+		if err != nil || rec == nil {
+			return nil, err
+		}
+		if leased || rec.Retain() {
+			return rec, nil
+		}
+		// Evicted and recycled between its completion and this lease: the
+		// next lookup misses and captures afresh.
+	}
+}
+
+// Recording memoizes a captured execution trace of p, keyed like
+// LeaseRecording. The recording is handed out without a lease, so it is
+// never recycled: eviction drops the cache's reference and the garbage
+// collector reclaims it once no caller can still be reading it.
+func (c *Cache) Recording(p *ir.Program, stepLimit int64, fn func() (*trace.Recording, error)) (*trace.Recording, error) {
+	// The lease is never released.
+	return c.LeaseRecording(p, stepLimit, func(trace.ChunkSource) (*trace.Recording, error) { return fn() })
+}
+
+// ReleaseRecordings evicts every completed recording, dropping the
+// cache's references: a recording nobody leases any more is recycled at
+// once, a leased one when its last lease ends.
 func (c *Cache) ReleaseRecordings() {
 	if c == nil {
 		return
 	}
-	var recs []*trace.Recording
 	c.mu.Lock()
 	for k, e := range c.entries {
 		if k.kind != kindRecording || !e.completed() {
@@ -637,12 +709,84 @@ func (c *Cache) ReleaseRecordings() {
 			e.elem = nil
 		}
 		c.curBytes -= e.bytes
-		if r, ok := e.val.(*trace.Recording); ok && r != nil {
-			recs = append(recs, r)
-		}
+		c.dropLocked(e)
+	}
+	c.unlock()
+}
+
+// captureSource is the chunk source of one running capture (entry e under
+// key k): it charges every chunk the capture takes against the byte bound
+// and recycles the chunks of recordings the cache let go.
+type captureSource struct {
+	c *Cache
+	k key
+	e *entry
+}
+
+// Take implements trace.ChunkSource: a free chunk when there is one;
+// otherwise the charge may evict recordings, whose chunks the capture then
+// takes straight from the free list, or nil (allocate) when none came back.
+func (s *captureSource) Take() *trace.Chunk {
+	c := s.c
+	c.mu.Lock()
+	if ch := c.popFreeLocked(s); ch != nil {
+		c.mu.Unlock()
+		return ch
+	}
+	s.chargeLocked(trace.ChunkBytes)
+	c.enforceCapLocked()
+	c.unlock()
+	c.mu.Lock()
+	ch := c.popFreeLocked(s)
+	if ch != nil {
+		s.chargeLocked(-trace.ChunkBytes) // popFreeLocked charged its own size
 	}
 	c.mu.Unlock()
-	for _, r := range recs {
-		r.Release()
+	return ch
+}
+
+// Put implements trace.ChunkSource.
+func (s *captureSource) Put(chunks []*trace.Chunk) { s.c.putChunks(chunks) }
+
+// chargeLocked counts n more bytes against the bound for the capture, as
+// long as its entry is still the cache's.
+func (s *captureSource) chargeLocked(n int64) {
+	if s.c.entries[s.k] != s.e {
+		return
+	}
+	s.e.bytes += n
+	s.c.curBytes += n
+	s.c.capBytes += n
+}
+
+// popFreeLocked takes a free chunk for capture s, moving its bytes from the
+// free list to the capture's charge, or returns nil.
+func (c *Cache) popFreeLocked(s *captureSource) *trace.Chunk {
+	n := len(c.free)
+	if n == 0 {
+		return nil
+	}
+	ch := c.free[n-1]
+	c.free[n-1] = nil
+	c.free = c.free[:n-1]
+	c.freeBytes -= ch.Bytes()
+	s.chargeLocked(ch.Bytes())
+	return ch
+}
+
+// putChunks takes back a recycled recording's chunks. The free list only
+// fills the bound's headroom: a chunk that would push resident plus free
+// bytes past maxBytes is left to the garbage collector, and so is every
+// chunk of an unbounded cache.
+func (c *Cache) putChunks(chunks []*trace.Chunk) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, ch := range chunks {
+		b := ch.Bytes()
+		if c.maxBytes <= 0 || c.curBytes+c.freeBytes+b > c.maxBytes {
+			return
+		}
+		c.free = append(c.free, ch)
+		c.freeBytes += b
 	}
 }

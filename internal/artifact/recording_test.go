@@ -12,8 +12,12 @@ import (
 )
 
 // syntheticRecording captures n synthetic events into a Recording.
-func syntheticRecording(n int) *trace.Recording {
-	r := trace.NewRecorder(nil)
+func syntheticRecording(n int) *trace.Recording { return recordInto(nil, n) }
+
+// recordInto captures n synthetic events into a Recording whose chunks
+// come from src.
+func recordInto(src trace.ChunkSource, n int) *trace.Recording {
+	r := trace.NewRecorder(src)
 	ev := &trace.Event{}
 	for i := 0; i < n; i++ {
 		ev.Func = 0
@@ -171,11 +175,14 @@ func TestRecordingIntegrityEviction(t *testing.T) {
 	}
 }
 
+// TestReleaseRecordings: bulk release evicts every recording and nothing
+// else. A leased recording stays readable until its lease ends and is
+// recycled then; the key is recomputable afterwards.
 func TestReleaseRecordings(t *testing.T) {
 	c := &Cache{}
 	p := tinyProgram(3)
-	rec, err := c.Recording(p, 0, func() (*trace.Recording, error) {
-		return syntheticRecording(100), nil
+	rec, err := c.LeaseRecording(p, 0, func(src trace.ChunkSource) (*trace.Recording, error) {
+		return recordInto(src, 100), nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -187,8 +194,12 @@ func TestReleaseRecordings(t *testing.T) {
 	if got := c.Stats().Entries; got != 1 {
 		t.Fatalf("release dropped non-recording entries: %d left; want 1", got)
 	}
+	if rec.Len() != 100 {
+		t.Fatal("release emptied a recording that is still leased")
+	}
+	rec.Release()
 	if rec.Len() != 0 {
-		t.Fatal("release did not empty the recording")
+		t.Fatal("the last lease ended without recycling the evicted recording")
 	}
 	st := c.Stats()
 	if st.Bytes != 0 {

@@ -116,13 +116,16 @@ func baselineOf(cfg arch.Config) arch.Config {
 	return cfg
 }
 
-// simulate runs p under every configuration of cfgs on one engine bank.
-// With RecordTraces and a cache, the program's trace is captured once
-// (memoized under its fingerprint and step limit, which all cfgs share) and
-// a single decode pass feeds every engine (arch.RunRecordedMulti);
-// otherwise each configuration runs on the live interpreter feed. Both
-// feeds are bit-identical. Engines fail individually (validation, cycle
-// budget) without aborting their siblings.
+// simulate runs p under every configuration of cfgs on one engine bank,
+// fed by a single pass over the program's trace. With RecordTraces and a
+// cache, the trace is leased from the cache (memoized under its
+// fingerprint and step limit, which all cfgs share): on a miss the bank
+// rides the capture's interpreter pass (arch.CaptureMulti), on a hit it
+// reads the recording in place (arch.RunRecordedMulti). Otherwise the bank
+// rides an interpreter pass whose trace is not kept (arch.RunMulti). All
+// three are bit-identical. Engines fail individually (validation, cycle
+// budget) without aborting their siblings; a failed capture fails them
+// all.
 func simulate(ctx context.Context, opts GuardOptions, p *ir.Program, cfgs []arch.Config) ([]*arch.RunStats, []error) {
 	stats := make([]*arch.RunStats, len(cfgs))
 	errs := make([]error, len(cfgs))
@@ -136,36 +139,42 @@ func simulate(ctx context.Context, opts GuardOptions, p *ir.Program, cfgs []arch
 	if err != nil {
 		return fail(err)
 	}
-	if !opts.RecordTraces || opts.Artifacts == nil {
-		for i, cfg := range cfgs {
-			stats[i], errs[i] = arch.NewMachine(lp, cfg).RunContext(ctx)
-		}
-		return stats, errs
-	}
-	limit := cfgs[0].StepLimit
-	rec, err := opts.Artifacts.Recording(p, limit, func() (*trace.Recording, error) {
-		return arch.RecordTrace(ctx, lp, limit)
-	})
-	if err != nil {
-		return fail(err)
-	}
 	if len(cfgs) > 1 {
 		broadcastPasses.Add(1)
 		broadcastVariants.Add(int64(len(cfgs)))
 	}
+	if !opts.RecordTraces || opts.Artifacts == nil {
+		return arch.RunMulti(ctx, lp, cfgs)
+	}
+	limit := cfgs[0].StepLimit
+	captured := false
+	rec, err := opts.Artifacts.LeaseRecording(p, limit, func(src trace.ChunkSource) (*trace.Recording, error) {
+		captured = true
+		rec, st, es, err := arch.CaptureMulti(ctx, lp, cfgs, limit, src)
+		stats, errs = st, es
+		return rec, err
+	})
+	if err != nil {
+		return fail(err)
+	}
+	defer rec.Release()
+	if captured {
+		return stats, errs
+	}
 	return arch.RunRecordedMulti(ctx, lp, rec, cfgs)
 }
 
-// Broadcast telemetry: recorded decode passes that fed two or more engines,
-// and the total engines those passes fed. Exposed process-wide
-// (BroadcastStats) so the daemon's metrics endpoint can report them.
+// Broadcast telemetry: single trace passes (live, capturing or recorded)
+// that fed two or more engines, and the total engines those passes fed.
+// Exposed process-wide (BroadcastStats) so the daemon's metrics endpoint
+// can report them.
 var (
 	broadcastPasses   atomic.Int64
 	broadcastVariants atomic.Int64
 )
 
-// BroadcastStats reports how many shared decode passes batched sweeps have
-// performed and how many variant engines were fed by them.
+// BroadcastStats reports how many shared trace passes batched simulations
+// have performed and how many variant engines were fed by them.
 func BroadcastStats() (passes, batchedVariants int64) {
 	return broadcastPasses.Load(), broadcastVariants.Load()
 }
@@ -185,14 +194,15 @@ type GuardOptions struct {
 	// (program, configuration) point reuse the stored result instead of
 	// recomputing it. Results are identical to an uncached run.
 	Artifacts *artifact.Cache
-	// RecordTraces feeds simulations from recordings: the program's
-	// architectural trace is captured into Artifacts and each configuration
-	// replays it instead of re-interpreting. Recordings are tens of MB per
-	// program, so this pays off only when several configurations share one
-	// program — Sweep always turns it on, and so does the daemon, whose
-	// cache outlives the request; one-shot evaluations (RunAllGuarded over
-	// distinct benchmarks) leave it off and keep the live interpreter feed.
-	// Without Artifacts the live feed runs either way.
+	// RecordTraces keeps simulated traces: the pass that simulates a
+	// program's first batch also captures its architectural trace into
+	// Artifacts, and later batches read the recording instead of
+	// re-interpreting. Recordings are tens of MB per program, so this pays
+	// off only when later batches revisit the program — Sweep always turns
+	// it on, and so does the daemon, whose cache outlives the request;
+	// one-shot evaluations (RunAllGuarded over distinct benchmarks) leave it
+	// off, and their trace is dropped as the pass goes. Without Artifacts
+	// nothing is kept either way.
 	RecordTraces bool
 }
 
@@ -696,29 +706,28 @@ type Variant struct {
 // Sweep evaluates every variant of one benchmark under the guarded
 // pipeline. Variants sharing a (program, step-limit) recording are grouped
 // into one batch: the batch holds a single work-slot, performs one
-// recording lookup per simulation stage, and a single decode pass fans
-// every trace event out to one engine per variant (arch.RunRecordedMulti).
-// Rows come back in variant order, and with opts.Artifacts set the numbers
-// are identical to a sequential uncached run (the shared compile, baseline
-// and repeated-configuration simulations are memoized, not approximated;
-// the broadcast replay is bit-identical to a live run — see
-// TestSweepDeterminism and TestReplayDeterminismAcrossVariants).
+// recording lookup per simulation stage, and a single trace pass feeds one
+// engine per variant (see simulate). Rows come back in variant order, and
+// with opts.Artifacts set the numbers are identical to a sequential
+// uncached run (the shared compile, baseline and repeated-configuration
+// simulations are memoized, not approximated; every pass is bit-identical
+// to a live run — see TestSweepDeterminism and
+// TestReplayDeterminismAcrossVariants).
 //
 // Sweep degrades gracefully: a failed variant does not abort its batch
 // siblings; its row carries the error (AblationRow.Err) with Speedup zero,
 // and the joined per-variant errors are returned alongside the rows.
 func Sweep(ctx context.Context, name string, scale int, variants []Variant, opts GuardOptions) ([]AblationRow, error) {
-	// A sweep's variants share one program, so the trace capture is repaid
-	// N-fold; one-shot callers keep the default live feed (see
-	// GuardOptions.RecordTraces).
+	// A sweep's variants share one program, so a kept trace serves every
+	// later batch; one-shot callers drop it (see GuardOptions.RecordTraces).
 	opts.RecordTraces = true
 	if opts.Artifacts == nil && len(variants) > 1 {
 		// Even a caller that asked for no cross-call memoization profits
 		// from sharing within the sweep: the benchmark is generated,
-		// compiled and interpreted once, and every variant replays the
-		// captured trace into its own engine (results stay bit-identical —
-		// see TestSweepDeterminism). The cache is private to this call, so
-		// its recordings can be released once the last variant joins.
+		// compiled and interpreted once, and every variant reads the
+		// captured trace (results stay bit-identical — see
+		// TestSweepDeterminism). The cache is private to this call, so its
+		// recordings are released once the last variant joins.
 		priv := artifact.NewBounded(0)
 		opts.Artifacts = priv
 		defer priv.ReleaseRecordings()
@@ -745,7 +754,7 @@ func Sweep(ctx context.Context, name string, scale int, variants []Variant, opts
 		go func(idxs []int) {
 			defer wg.Done()
 			// The whole batch is one leaf evaluation: one slot, however
-			// many engines ride the shared decode pass.
+			// many engines ride the shared trace pass.
 			release := acquireWork()
 			defer release()
 			cfgs := make([]arch.Config, len(idxs))

@@ -86,7 +86,8 @@ func TestSweepDeterminism(t *testing.T) {
 		t.Errorf("sweep interpreted %d traces; want exactly 2 (baseline + SPT program)", st.RecordingMisses)
 	}
 	// The six same-step-limit variants form one batch, whose two stages each
-	// pin their recording once and decode it in a single pass. Only passes
+	// lease their recording once and feed their bank in a single pass (on
+	// the cold pass, the pass that captures the recording). Only passes
 	// that feed two or more engines count as broadcasts: the baseline pass
 	// feeds the one deduplicated baseline engine and does not count; the SPT
 	// pass feeds the four distinct SPT engines. The warm pass is answered

@@ -66,6 +66,44 @@ type LoopProfile struct {
 	// the body Call instruction that entered them; CalleeCycles[id]/Exec[id]
 	// is the average callee cost of call site id.
 	CalleeCycles map[int]int64
+
+	// Dense accumulators the collector updates per event and per iteration;
+	// fill folds them into the maps above once collection ends.
+	exec, callee          []int64      // by body instruction id
+	regChange, regWritten []int64      // by register
+	values                []ValueStats // by register; Samples == 0: never observed
+}
+
+// fill publishes the dense accumulators as the profile's maps. Every
+// accumulator only ever grows from zero, so its nonzero entries are
+// exactly the keys the maps would have gained one event at a time.
+func (lp *LoopProfile) fill() {
+	for id, n := range lp.exec {
+		if n != 0 {
+			lp.Exec[id] = n
+		}
+	}
+	for id, n := range lp.callee {
+		if n != 0 {
+			lp.CalleeCycles[id] = n
+		}
+	}
+	for r, n := range lp.regChange {
+		if n != 0 {
+			lp.RegChange[ir.Reg(r)] = n
+		}
+	}
+	for r, n := range lp.regWritten {
+		if n != 0 {
+			lp.RegWritten[ir.Reg(r)] = n
+		}
+	}
+	for r := range lp.values {
+		if vs := &lp.values[r]; vs.Samples > 0 {
+			vs.fill()
+			lp.Values[ir.Reg(r)] = vs
+		}
+	}
 }
 
 // TripCount returns the average number of iterations per entry.
@@ -163,6 +201,7 @@ type staticLoop struct {
 	candidate  bool
 	loop       *cfg.Loop
 	numRegs    int
+	numInstrs  int
 	depthIndex int // nesting position within the frame's loop chain
 }
 
@@ -180,11 +219,11 @@ type activation struct {
 	frame int64
 	ctx   int // last body-instruction id seen in the loop's own frame
 
-	iter       int64
-	prevSnap   []int64
-	prevKnown  []bool
-	snapValid  bool
-	written []bool // regs written this iteration (dense; nil for non-candidates)
+	iter      int64
+	prevSnap  []int64
+	prevKnown []bool
+	snapValid bool
+	written   []bool // regs written this iteration (dense; nil for non-candidates)
 
 	// Cross-iteration store tracking. One generational map replaces the
 	// classic prev/cur pair: every store is tagged with the iteration
@@ -265,6 +304,9 @@ func CollectContext(ctx context.Context, lp *interp.Program, stepLimit int64) (*
 	if err != nil {
 		return nil, err
 	}
+	for _, lp := range c.prof.Loops {
+		lp.fill()
+	}
 	c.prof.Result = res
 	return c.prof, nil
 }
@@ -290,11 +332,12 @@ func (c *collector) buildStatics() {
 		byLoop := map[*cfg.Loop]*staticLoop{}
 		for _, l := range forest.Loops {
 			sl := &staticLoop{
-				key:     LoopKey{Func: f.Name, Header: f.Blocks[l.Header].Label},
-				header:  l.Header,
-				start:   l.Header,
-				loop:    l,
-				numRegs: f.NumRegs,
+				key:       LoopKey{Func: f.Name, Header: f.Blocks[l.Header].Label},
+				header:    l.Header,
+				start:     l.Header,
+				loop:      l,
+				numRegs:   f.NumRegs,
+				numInstrs: f.NumInstrs(),
 			}
 			if a := ddg.Analyze(p, f, g, l, eff); a != nil {
 				sl.candidate = true
@@ -345,6 +388,11 @@ func (c *collector) loopProfile(sl *staticLoop) *LoopProfile {
 			MemDep:       map[[2]int]int64{},
 			Values:       map[ir.Reg]*ValueStats{},
 			CalleeCycles: map[int]int64{},
+			exec:         make([]int64, sl.numInstrs),
+			callee:       make([]int64, sl.numInstrs),
+			regChange:    make([]int64, sl.numRegs),
+			regWritten:   make([]int64, sl.numRegs),
+			values:       make([]ValueStats, sl.numRegs),
 		}
 		c.prof.Loops[sl.key] = p
 	}
@@ -406,9 +454,9 @@ func (c *collector) Event(ev *trace.Event) {
 		a.prof.InclCycles += lat
 		if a.frame == ev.Frame {
 			a.ctx = int(ev.ID)
-			a.prof.Exec[int(ev.ID)]++
+			a.prof.exec[ev.ID]++
 		} else if a.ctx >= 0 {
-			a.prof.CalleeCycles[a.ctx] += lat
+			a.prof.callee[a.ctx] += lat
 		}
 	}
 
@@ -583,21 +631,16 @@ func (c *collector) iterationBoundary(fr *frameState, a *activation) {
 	if a.snapValid {
 		a.prof.RegSamples++
 		for r := 0; r < n; r++ {
-			if a.prevKnown[r] && fr.known[r] && fr.regs[r] != a.prevSnap[r] {
-				a.prof.RegChange[ir.Reg(r)]++
-			}
 			if a.prevKnown[r] && fr.known[r] {
-				vs := a.prof.Values[ir.Reg(r)]
-				if vs == nil {
-					vs = newValueStats()
-					a.prof.Values[ir.Reg(r)] = vs
+				if fr.regs[r] != a.prevSnap[r] {
+					a.prof.regChange[r]++
 				}
-				vs.observe(fr.regs[r] - a.prevSnap[r])
+				a.prof.values[r].observe(fr.regs[r] - a.prevSnap[r])
 			}
 		}
 		for r, w := range a.written {
 			if w {
-				a.prof.RegWritten[ir.Reg(r)]++
+				a.prof.regWritten[r]++
 			}
 		}
 	}

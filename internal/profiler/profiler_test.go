@@ -348,6 +348,7 @@ func TestValueStatsCap(t *testing.T) {
 	for d := int64(0); d < 100; d++ {
 		vs.observe(d)
 	}
+	vs.fill()
 	if len(vs.Deltas) > maxDeltaClasses {
 		t.Errorf("delta classes = %d, exceeds cap", len(vs.Deltas))
 	}

@@ -139,8 +139,12 @@ type gauges struct {
 	traceHits        int64
 	traceMisses      int64
 	traceBytes       int64
+	captureBytes     int64 // chunk bytes running captures hold
+	chunksAllocated  int64 // recording chunks allocated fresh
+	chunksReused     int64 // recording chunks taken recycled
+	gcCycles         int64 // completed GC cycles since start
 
-	broadcastPasses int64 // shared decode passes performed by batched sweeps
+	broadcastPasses int64 // single trace passes that fed two or more engines
 	batchedVariants int64 // variant engines fed by those passes
 
 	// specOutcomes is the process-wide per-outcome speculation tally of
@@ -216,7 +220,14 @@ func (m *metrics) render(w io.Writer, g gauges) {
 	fmt.Fprintf(w, "sptd_trace_cache_hits_total %d\n", g.traceHits)
 	counterHead("sptd_trace_cache_misses_total", "Trace recordings that had to interpret the program.")
 	fmt.Fprintf(w, "sptd_trace_cache_misses_total %d\n", g.traceMisses)
-	gauge("sptd_trace_cache_bytes", "Resident bytes of cached trace recordings (LRU-bounded by -cache-bytes).", float64(g.traceBytes))
+	gauge("sptd_trace_cache_bytes", "Resident bytes of cached trace recordings and running captures (LRU-bounded by -cache-bytes).", float64(g.traceBytes))
+	gauge("sptd_trace_capture_bytes", "Bytes of recording chunks that running captures hold, counted in sptd_trace_cache_bytes.", float64(g.captureBytes))
+	counterHead("sptd_trace_chunks_allocated_total", "Recording chunks (about 1 MiB each) allocated fresh by captures and event windows.")
+	fmt.Fprintf(w, "sptd_trace_chunks_allocated_total %d\n", g.chunksAllocated)
+	counterHead("sptd_trace_chunks_reused_total", "Recording chunks taken recycled (from evicted recordings or event windows) instead of allocated.")
+	fmt.Fprintf(w, "sptd_trace_chunks_reused_total %d\n", g.chunksReused)
+	counterHead("sptd_go_gc_cycles_total", "Completed garbage collection cycles of the daemon process.")
+	fmt.Fprintf(w, "sptd_go_gc_cycles_total %d\n", g.gcCycles)
 
 	counterHead("sptd_spec_commits_total", "Speculative windows committed by the simulation engines since start, by commit kind.")
 	for _, c := range g.specOutcomes.Commits {
@@ -227,9 +238,9 @@ func (m *metrics) render(w io.Writer, g gauges) {
 		fmt.Fprintf(w, "sptd_spec_squashes_total{cause=%q} %d\n", c.Cause, c.N)
 	}
 
-	counterHead("sptd_sweep_broadcast_passes_total", "Shared decode passes: each decoded a recording once and fanned it out to a batch of sweep variant engines.")
+	counterHead("sptd_sweep_broadcast_passes_total", "Single trace passes (live, capturing or recorded) that fed a batch of two or more variant engines.")
 	fmt.Fprintf(w, "sptd_sweep_broadcast_passes_total %d\n", g.broadcastPasses)
-	counterHead("sptd_sweep_batched_variants_total", "Variant engines fed by broadcast passes instead of private replays.")
+	counterHead("sptd_sweep_batched_variants_total", "Variant engines fed by shared trace passes instead of passes of their own.")
 	fmt.Fprintf(w, "sptd_sweep_batched_variants_total %d\n", g.batchedVariants)
 
 	fmt.Fprintf(w, "# HELP sptd_stage_latency_seconds Wall-clock latency of finished jobs by stage.\n")

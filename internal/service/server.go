@@ -26,6 +26,7 @@ import (
 	"io"
 	"math"
 	"runtime"
+	rtmetrics "runtime/metrics"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -34,6 +35,7 @@ import (
 	"repro/internal/artifact"
 	"repro/internal/guard"
 	"repro/internal/harness"
+	"repro/internal/trace"
 	"repro/spt/client"
 )
 
@@ -774,10 +776,21 @@ func (s *Server) retryAfterSeconds(kind string) int {
 	}
 }
 
+// gcCycles reads the process's completed GC cycle count.
+func gcCycles() int64 {
+	s := []rtmetrics.Sample{{Name: "/gc/cycles/total:gc-cycles"}}
+	rtmetrics.Read(s)
+	if s[0].Value.Kind() != rtmetrics.KindUint64 {
+		return 0
+	}
+	return int64(s[0].Value.Uint64())
+}
+
 // gaugesNow snapshots the live state for a metrics scrape.
 func (s *Server) gaugesNow() gauges {
 	cs := s.cache.Stats()
 	bp, bv := harness.BroadcastStats()
+	ca, cr := trace.ChunkCounts()
 	var jbytes, jcompactions int64
 	if s.journal != nil {
 		jbytes = s.journal.SizeBytes()
@@ -802,6 +815,10 @@ func (s *Server) gaugesNow() gauges {
 		traceHits:          cs.RecordingHits,
 		traceMisses:        cs.RecordingMisses,
 		traceBytes:         cs.Bytes,
+		captureBytes:       cs.CaptureBytes,
+		chunksAllocated:    ca,
+		chunksReused:       cr,
+		gcCycles:           gcCycles(),
 		broadcastPasses:    bp,
 		batchedVariants:    bv,
 		specOutcomes:       harness.SpecOutcomes(),

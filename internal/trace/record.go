@@ -3,39 +3,43 @@ package trace
 import (
 	"context"
 	"fmt"
+	"hash/maphash"
+	"slices"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 )
 
-// This file implements the record-once/replay-many encoding of an event
-// stream. A Recording is a compact columnar copy of every Event a producer
-// emitted, chunked so capture never needs one giant contiguous allocation
-// and so released recordings recycle fixed-size blocks through a pool.
-// Columns cost ~33 bytes per event against 56+ for []Event, and the sparse
-// snapshot side-table costs nothing for the (vast majority of) events that
-// carry no register snapshot.
+// A Recording is a compact columnar copy of every Event a producer
+// emitted, chunked so capture never needs one giant allocation and so
+// released recordings recycle fixed-size blocks. Columns cost ~33 bytes
+// per event, and the sparse snapshot side-table costs nothing for the
+// events that carry no register snapshot. A recording is also an event
+// window: consumers read its columns in place (At, Snapshot), even while a
+// Recorder is still filling it.
 
-// chunkEvents is the fixed capacity of one recording chunk. 32 Ki events
-// ≈ 1 MiB per chunk of column data: large enough to amortize chunk
-// bookkeeping, small enough that pooling them bounds fragmentation.
-const chunkEvents = 1 << 15
+// One chunk holds 32 Ki events ≈ 1 MiB of column data.
+const (
+	chunkShift  = 15
+	ChunkEvents = 1 << chunkShift
+	chunkMask   = ChunkEvents - 1
+)
 
 // replayCtxMask mirrors the interpreter's cadence: the replay context is
 // polled every time the low bits of the event index wrap.
 const replayCtxMask = 1<<10 - 1
 
-// chunk is one fixed-capacity block of columnar event storage. The event
-// columns are allocated once at full capacity and indexed by n; the sparse
-// snapshot columns grow per chunk and keep their capacity across pool
-// cycles.
-type chunk struct {
+// Chunk is one block of columnar event storage. The event columns are
+// arrays indexed by the low bits of an event's position; the snapshot
+// columns keep their capacity when the chunk is recycled.
+type Chunk struct {
 	n      int32
-	funcs  []int32
-	ids    []int32
-	frames []int64
-	addrs  []int64
-	vals   []int64
-	taken  []bool
+	funcs  [ChunkEvents]int32
+	ids    [ChunkEvents]int32
+	frames [ChunkEvents]int64
+	addrs  [ChunkEvents]int64
+	vals   [ChunkEvents]int64
+	taken  [ChunkEvents]bool
 
 	// Sparse snapshot side-table: snapAt holds the chunk-local indices of
 	// events that carried a snapshot (ascending), snapOff[i] is the offset
@@ -46,28 +50,29 @@ type chunk struct {
 	snapData []int64
 }
 
-var chunkPool = sync.Pool{New: func() any {
-	return &chunk{
-		funcs:  make([]int32, chunkEvents),
-		ids:    make([]int32, chunkEvents),
-		frames: make([]int64, chunkEvents),
-		addrs:  make([]int64, chunkEvents),
-		vals:   make([]int64, chunkEvents),
-		taken:  make([]bool, chunkEvents),
-	}
-}}
+// ChunkBytes is the resident size of a chunk's event columns, the part of
+// its footprint that does not depend on the snapshots it holds.
+const ChunkBytes = int64(unsafe.Sizeof(Chunk{}))
 
-func grabChunk() *chunk {
-	c := chunkPool.Get().(*chunk)
+// Process-wide chunk counters (ChunkCounts).
+var chunksAllocated, chunksReused atomic.Int64
+
+// ChunkCounts reports how many recording chunks captures have allocated
+// fresh and how many they took recycled, since process start.
+func ChunkCounts() (allocated, reused int64) {
+	return chunksAllocated.Load(), chunksReused.Load()
+}
+
+// reset empties a chunk for reuse, keeping its snapshot table capacity.
+func (c *Chunk) reset() {
 	c.n = 0
 	c.snapAt = c.snapAt[:0]
 	c.snapOff = c.snapOff[:0]
 	c.snapData = c.snapData[:0]
-	return c
 }
 
 // snapRange returns the [start, end) window of snapshot i in snapData.
-func (c *chunk) snapRange(i int) (int32, int32) {
+func (c *Chunk) snapRange(i int) (int32, int32) {
 	start := c.snapOff[i]
 	end := int32(len(c.snapData))
 	if i+1 < len(c.snapOff) {
@@ -76,34 +81,79 @@ func (c *chunk) snapRange(i int) (int32, int32) {
 	return start, end
 }
 
-// bytes is the chunk's resident footprint (capacities, not lengths — the
-// columns are preallocated at full capacity).
-func (c *chunk) bytes() int64 {
-	return int64(cap(c.funcs))*4 + int64(cap(c.ids))*4 +
-		int64(cap(c.frames))*8 + int64(cap(c.addrs))*8 + int64(cap(c.vals))*8 +
-		int64(cap(c.taken)) +
-		int64(cap(c.snapAt))*4 + int64(cap(c.snapOff))*4 + int64(cap(c.snapData))*8
+// Bytes is the chunk's resident footprint: the columns plus the capacity
+// of its snapshot table.
+func (c *Chunk) Bytes() int64 {
+	return ChunkBytes + int64(cap(c.snapAt))*4 + int64(cap(c.snapOff))*4 + int64(cap(c.snapData))*8
 }
 
-// Recording is an immutable captured event stream. It is safe for
-// concurrent replay once finalized; Release returns its chunks to the
-// shared pool and must only be called when no replay can still be reading
-// it.
+// digestSeed keys recording digests. Digests are compared only within one
+// process, so a per-process seed is enough.
+var digestSeed = maphash.MakeSeed()
+
+// digest hashes the chunk's filled prefix: every column and the snapshot
+// side-table.
+func (c *Chunk) digest() uint64 {
+	var h maphash.Hash
+	h.SetSeed(digestSeed)
+	n := int(c.n)
+	h.Write(bytesOf(c.funcs[:n]))
+	h.Write(bytesOf(c.ids[:n]))
+	h.Write(bytesOf(c.frames[:n]))
+	h.Write(bytesOf(c.addrs[:n]))
+	h.Write(bytesOf(c.vals[:n]))
+	h.Write(bytesOf(c.taken[:n]))
+	h.Write(bytesOf(c.snapAt))
+	h.Write(bytesOf(c.snapOff))
+	h.Write(bytesOf(c.snapData))
+	return h.Sum64()
+}
+
+// bytesOf views a column as raw bytes for hashing.
+func bytesOf[T int32 | int64 | bool](s []T) []byte {
+	if len(s) == 0 {
+		return nil
+	}
+	var z T
+	return unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), len(s)*int(unsafe.Sizeof(z)))
+}
+
+// fnv folds word v into FNV-1a state h.
+func fnv(h, v uint64) uint64 { return (h ^ v) * 1099511628211 }
+
+const fnvOffset = 14695981039346656037
+
+// ChunkSource recycles recording chunks. A capture asks it for every chunk
+// it fills (Take; nil means allocate a fresh one), and a recording captured
+// from it hands all its chunks back (Put) once its last reference is
+// dropped.
+type ChunkSource interface {
+	Take() *Chunk
+	Put([]*Chunk)
+}
+
+// Recording is a captured event stream. Once finalized it is immutable and
+// safe for concurrent reading. It is reference counted: the capture holds
+// the first reference, Retain adds one and Release drops one, and dropping
+// the last returns the chunks to the ChunkSource they came from (or to the
+// garbage collector when there is none).
 type Recording struct {
-	chunks   []*chunk
+	chunks   []*Chunk
+	first    int64 // chunk index of chunks[0]: > 0 once a window dropped its head
 	n        int64 // events stored
 	steps    int64 // producer-reported dynamic instruction count
 	complete bool
 
-	// Memoized Checksum result. A finalized recording is immutable, so the
-	// digest is computed once and reused by every subsequent integrity
-	// check; Truncate (and Release) invalidate it. Two concurrent first
-	// calls both compute the same value, so the unsynchronized store is
-	// benign.
+	// Memoized Checksum result: the recorder folds each chunk's digest in
+	// as the chunk fills, so a finalized recording arrives with its digest
+	// already known. Truncate (and the last Release) invalidate it. Two
+	// concurrent recomputations store the same value, so the
+	// unsynchronized store is benign.
 	sum   atomic.Uint64
 	sumOK atomic.Bool
 
-	releaseOnce sync.Once
+	refs atomic.Int32
+	src  ChunkSource
 }
 
 // Len returns the number of recorded events.
@@ -133,7 +183,7 @@ func (r *Recording) Bytes() int64 {
 	}
 	var b int64
 	for _, c := range r.chunks {
-		b += c.bytes()
+		b += c.Bytes()
 	}
 	return b
 }
@@ -142,51 +192,56 @@ func (r *Recording) Bytes() int64 {
 // bounded by bytes, not entry count.
 func (r *Recording) CacheBytes() int64 { return r.Bytes() }
 
-// Checksum returns a word-granular FNV-1a digest over every column and the
-// step count. It is an integrity witness (bit flips, post-completion
-// mutation), not a cryptographic hash. For a finalized recording the digest
-// is memoized — recordings are immutable once complete, so per-hit cache
-// integrity checks stop re-hashing the full event stream. The memo is
-// dropped by Truncate and Release, which are the only sanctioned mutations.
-func (r *Recording) Checksum() uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
-	mix := func(v uint64) {
-		h ^= v
-		h *= prime
+// At returns a view of event abs. abs must lie in [0, Len()) and, in a
+// window, at or after its last Trim bound.
+func (r *Recording) At(abs int64) View {
+	return View{c: r.chunks[abs>>chunkShift-r.first], i: abs}
+}
+
+// View is one recorded event read in place: its accessors, named after
+// Event's fields, each load one column entry, and nothing is copied. The
+// event's snapshot is read separately (Recording.Snapshot).
+type View struct {
+	c *Chunk
+	i int64 // absolute event index; its low bits index the chunk
+}
+
+func (v View) Func() int32  { return v.c.funcs[v.i&chunkMask] }
+func (v View) ID() int32    { return v.c.ids[v.i&chunkMask] }
+func (v View) Frame() int64 { return v.c.frames[v.i&chunkMask] }
+func (v View) Addr() int64  { return v.c.addrs[v.i&chunkMask] }
+func (v View) Val() int64   { return v.c.vals[v.i&chunkMask] }
+func (v View) Taken() bool  { return v.c.taken[v.i&chunkMask] }
+
+// Snapshot returns the register snapshot recorded with event abs, or nil.
+// The slice aliases the recording's storage and must not be modified.
+func (r *Recording) Snapshot(abs int64) []int64 {
+	c := r.chunks[abs>>chunkShift-r.first]
+	k, ok := slices.BinarySearch(c.snapAt, int32(abs&chunkMask))
+	if !ok {
+		return nil
 	}
+	start, end := c.snapRange(k)
+	return c.snapData[start:end:end]
+}
+
+// Checksum returns a digest over every column and the step count. It is an
+// integrity witness (bit flips, post-completion mutation), not a
+// cryptographic hash, and it is only comparable within one process. A
+// finalized recording carries its digest from capture; Truncate and the
+// last Release drop the memo, which is then recomputed.
+func (r *Recording) Checksum() uint64 {
 	if r == nil {
-		return h
+		return fnv(fnv(fnvOffset, 0), 0)
 	}
 	if r.sumOK.Load() {
 		return r.sum.Load()
 	}
-	mix(uint64(r.steps))
-	mix(uint64(r.n))
+	h := uint64(fnvOffset)
 	for _, c := range r.chunks {
-		n := int(c.n)
-		for i := 0; i < n; i++ {
-			mix(uint64(uint32(c.funcs[i])))
-			mix(uint64(uint32(c.ids[i])))
-			mix(uint64(c.frames[i]))
-			mix(uint64(c.addrs[i]))
-			mix(uint64(c.vals[i]))
-			if c.taken[i] {
-				mix(1)
-			} else {
-				mix(0)
-			}
-		}
-		for _, at := range c.snapAt {
-			mix(uint64(uint32(at)))
-		}
-		for _, v := range c.snapData {
-			mix(uint64(v))
-		}
+		h = fnv(h, c.digest())
 	}
+	h = fnv(fnv(h, uint64(r.steps)), uint64(r.n))
 	if r.complete {
 		// Store the value before publishing the flag so a concurrent reader
 		// that observes sumOK also observes the digest.
@@ -208,11 +263,11 @@ func (r *Recording) Truncate(n int64) {
 		n = 0
 	}
 	r.sumOK.Store(false) // the memoized digest no longer matches the bytes
-	keep := int((n + chunkEvents - 1) / chunkEvents)
+	keep := int((n + ChunkEvents - 1) / ChunkEvents)
 	r.chunks = r.chunks[:keep]
 	if keep > 0 {
 		c := r.chunks[keep-1]
-		local := int32(n - int64(keep-1)*chunkEvents)
+		local := int32(n - int64(keep-1)*ChunkEvents)
 		c.n = local
 		// Trim the snapshot side-table to the surviving events.
 		for i, at := range c.snapAt {
@@ -227,51 +282,127 @@ func (r *Recording) Truncate(n int64) {
 	r.n = n
 }
 
-// Release returns the recording's chunks to the shared pool and empties it.
-// It is idempotent, but must only be called by a sole owner: a released
-// chunk is immediately reusable by concurrent recorders, so releasing a
-// recording another goroutine is still replaying corrupts that replay.
+// addRef adds d to the references of a recording that still has some and
+// returns the new count; with none left it changes nothing and returns 0.
+func (r *Recording) addRef(d int32) int32 {
+	for {
+		n := r.refs.Load()
+		if n <= 0 {
+			return 0
+		}
+		if r.refs.CompareAndSwap(n, n+d) {
+			return n + d
+		}
+	}
+}
+
+// Retain adds a reference. It fails once the last reference has been
+// dropped: the chunks may already hold another capture.
+func (r *Recording) Retain() bool { return r.addRef(1) > 0 }
+
+// Release drops one reference. Dropping the last empties the recording
+// and hands its chunks back to their source for reuse, so every holder
+// must release exactly once and read nothing afterwards. Releasing a
+// recording with no references left does nothing.
 func (r *Recording) Release() {
-	if r == nil {
+	if r == nil || r.addRef(-1) > 0 {
 		return
 	}
-	r.releaseOnce.Do(func() {
-		for _, c := range r.chunks {
-			chunkPool.Put(c)
-		}
-		r.chunks = nil
-		r.n = 0
-		r.steps = 0
-		r.complete = false
-		r.sumOK.Store(false)
-	})
+	chunks := r.chunks
+	r.chunks = nil
+	r.first, r.n, r.steps = 0, 0, 0
+	r.complete = false
+	r.sumOK.Store(false)
+	if r.src != nil && len(chunks) > 0 {
+		r.src.Put(chunks)
+	}
 }
 
 // Recorder captures an event stream into a Recording. It implements
-// Handler, optionally teeing every event (unmodified, snapshot aliasing
-// intact) to a downstream handler, so capture can ride along a live
-// simulation. Not safe for concurrent use; producers are sequential.
+// Handler. The recording it fills is readable in place while it grows
+// (Recording), from the producer's goroutine. Not safe for concurrent use;
+// producers are sequential.
 type Recorder struct {
-	tee Handler
-	rec *Recording
-	cur *chunk
+	rec    *Recording
+	cur    *Chunk
+	spare  []*Chunk // chunks Trim dropped, reused before asking the source
+	sum    uint64   // running digest over sealed chunks
+	window bool     // never finalized: no digest, and Trim may drop the head
 }
 
-// NewRecorder returns a recorder; tee (may be nil) receives every event
-// after it is captured.
-func NewRecorder(tee Handler) *Recorder {
-	return &Recorder{tee: tee, rec: &Recording{}}
+// NewRecorder returns a recorder that takes its chunks from src (nil:
+// fresh allocations); the finished recording returns them there.
+func NewRecorder(src ChunkSource) *Recorder {
+	rec := &Recording{src: src}
+	rec.refs.Store(1)
+	return &Recorder{rec: rec, sum: fnvOffset}
+}
+
+// NewWindow returns a recorder whose capture is only a sliding event
+// window: it is never finalized, Trim recycles its head as the stream
+// moves on, and Abort hands its chunks to the next window.
+func NewWindow() *Recorder {
+	r := NewRecorder(windowChunks{})
+	r.window = true
+	return r
+}
+
+// windowPool recycles the chunks of finished windows. A window holds a few
+// chunks for the length of one pass, so consecutive passes reuse them
+// instead of re-zeroing a megabyte per chunk; the pool empties when the
+// garbage collector runs.
+var windowPool sync.Pool
+
+// windowChunks is the chunk source of windows.
+type windowChunks struct{}
+
+// Take implements ChunkSource.
+func (windowChunks) Take() *Chunk {
+	c, _ := windowPool.Get().(*Chunk)
+	return c
+}
+
+// Put implements ChunkSource.
+func (windowChunks) Put(chunks []*Chunk) {
+	for _, c := range chunks {
+		windowPool.Put(c)
+	}
+}
+
+// Recording returns the recording being filled. Events [0, Len()) are
+// readable with At and Snapshot until the next Trim.
+func (r *Recorder) Recording() *Recording { return r.rec }
+
+// grab returns an empty chunk: a trimmed one, the source's, or a fresh one.
+func (r *Recorder) grab() *Chunk {
+	var c *Chunk
+	if n := len(r.spare); n > 0 {
+		c = r.spare[n-1]
+		r.spare = r.spare[:n-1]
+	} else if r.rec.src != nil {
+		c = r.rec.src.Take()
+	}
+	if c != nil {
+		chunksReused.Add(1)
+		c.reset()
+		return c
+	}
+	chunksAllocated.Add(1)
+	return new(Chunk)
 }
 
 // Event implements Handler.
 func (r *Recorder) Event(ev *Event) {
 	c := r.cur
-	if c == nil || c.n == chunkEvents {
-		c = grabChunk()
+	if c == nil || c.n == ChunkEvents {
+		if c != nil && !r.window {
+			r.sum = fnv(r.sum, c.digest()) // sealed while its columns are warm
+		}
+		c = r.grab()
 		r.rec.chunks = append(r.rec.chunks, c)
 		r.cur = c
 	}
-	i := c.n
+	i := c.n & chunkMask
 	c.funcs[i] = ev.Func
 	c.ids[i] = ev.ID
 	c.frames[i] = ev.Frame
@@ -285,28 +416,53 @@ func (r *Recorder) Event(ev *Event) {
 	}
 	c.n = i + 1
 	r.rec.n++
-	if r.tee != nil {
-		r.tee.Event(ev)
+}
+
+// Trim drops a window's whole chunks before event low and keeps them to
+// hold later events, so a window that only ever reads from low onwards
+// stays a few chunks long however far the stream runs.
+func (r *Recorder) Trim(low int64) {
+	rec := r.rec
+	if !r.window {
+		panic("trace: Trim of a capture that can be finalized")
 	}
+	k := min(int(low>>chunkShift-rec.first), len(rec.chunks)-1) // the chunk being filled stays
+	if k <= 0 {
+		return
+	}
+	r.spare = append(r.spare, rec.chunks[:k]...)
+	rec.chunks = append(rec.chunks[:0], rec.chunks[k:]...)
+	rec.first += int64(k)
 }
 
 // Finalize seals the capture with the producer's dynamic step count and
-// returns the finished Recording. The recorder must not be used afterwards.
+// returns the finished Recording, which carries the recorder's reference.
+// The recorder must not be used afterwards.
 func (r *Recorder) Finalize(steps int64) *Recording {
 	rec := r.rec
+	if r.window {
+		panic("trace: Finalize of a window")
+	}
+	sum := r.sum
+	if r.cur != nil {
+		sum = fnv(sum, r.cur.digest())
+	}
 	rec.steps = steps
 	rec.complete = true
-	r.rec, r.cur = nil, nil
+	rec.sum.Store(fnv(fnv(sum, uint64(steps)), uint64(rec.n)))
+	rec.sumOK.Store(true)
+	r.rec, r.cur, r.spare = nil, nil, nil
 	return rec
 }
 
-// Abort discards the capture (producer failed mid-run), returning its
-// chunks to the pool.
+// Abort discards the capture (producer failed mid-run, or the stream was
+// only a window), returning its chunks to the source.
 func (r *Recorder) Abort() {
 	if r.rec != nil {
+		r.rec.chunks = append(r.rec.chunks, r.spare...)
 		r.rec.Release()
 	}
-	r.rec, r.cur = nil, nil
+	r.rec, r.cur, r.spare = nil, nil, nil
 }
 
 // Replayer re-emits recordings. The zero value is ready; reusing one
@@ -324,50 +480,27 @@ type Replayer struct {
 // nil Snapshot; zero-length snapshots may also replay as nil (consumers
 // treat empty and missing snapshots alike).
 func (rp *Replayer) Replay(ctx context.Context, rec *Recording, h Handler, limit int64) error {
-	if rec == nil {
-		return nil
-	}
-	if limit <= 0 || limit > rec.n {
-		limit = rec.n
-	}
-	var done <-chan struct{}
-	if ctx != nil {
-		done = ctx.Done()
+	if limit <= 0 || limit > rec.Len() {
+		limit = rec.Len()
 	}
 	ev := &rp.ev
-	var fed int64
-	for _, c := range rec.chunks {
-		if fed >= limit {
-			break
+	si := 0 // next snapshot of the current chunk
+	for p := int64(0); p < limit; p++ {
+		if p&replayCtxMask == replayCtxMask && ctx != nil && ctx.Err() != nil {
+			return fmt.Errorf("trace: replay interrupted after %d events: %w", p, ctx.Err())
 		}
-		n := int64(c.n)
-		if rem := limit - fed; n > rem {
-			n = rem
+		v := rec.At(p)
+		c, i := v.c, int32(p&chunkMask)
+		if i == 0 {
+			si = 0
 		}
-		si := 0
-		for i := int64(0); i < n; i++ {
-			if fed&replayCtxMask == replayCtxMask && done != nil {
-				select {
-				case <-done:
-					return fmt.Errorf("trace: replay interrupted after %d events: %w", fed, ctx.Err())
-				default:
-				}
-			}
-			ev.Func = c.funcs[i]
-			ev.ID = c.ids[i]
-			ev.Frame = c.frames[i]
-			ev.Addr = c.addrs[i]
-			ev.Val = c.vals[i]
-			ev.Taken = c.taken[i]
-			ev.Snapshot = nil
-			if si < len(c.snapAt) && c.snapAt[si] == int32(i) {
-				start, end := c.snapRange(si)
-				ev.Snapshot = c.snapData[start:end:end]
-				si++
-			}
-			h.Event(ev)
-			fed++
+		*ev = Event{Func: c.funcs[i], ID: c.ids[i], Frame: c.frames[i], Addr: c.addrs[i], Val: c.vals[i], Taken: c.taken[i]}
+		if si < len(c.snapAt) && c.snapAt[si] == i {
+			start, end := c.snapRange(si)
+			ev.Snapshot = c.snapData[start:end:end]
+			si++
 		}
+		h.Event(ev)
 	}
 	return nil
 }

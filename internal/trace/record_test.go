@@ -69,7 +69,7 @@ func collect(t *testing.T, rec *Recording) []Event {
 func TestRecordingRoundTrip(t *testing.T) {
 	// Cross two chunk boundaries so chunk handoff and the per-chunk
 	// snapshot tables are both exercised.
-	evs := synthEvents(2*chunkEvents+1234, 97)
+	evs := synthEvents(2*ChunkEvents+1234, 97)
 	rec := record(evs)
 	if rec.Len() != int64(len(evs)) || rec.Steps() != int64(len(evs)) || !rec.Complete() {
 		t.Fatalf("Len=%d Steps=%d Complete=%v; want %d/%d/true", rec.Len(), rec.Steps(), rec.Complete(), len(evs), len(evs))
@@ -118,9 +118,9 @@ func TestReplayCtxCancel(t *testing.T) {
 }
 
 func TestRecordingTruncate(t *testing.T) {
-	evs := synthEvents(chunkEvents+500, 33)
+	evs := synthEvents(ChunkEvents+500, 33)
 	rec := record(evs)
-	cut := int64(chunkEvents + 10)
+	cut := int64(ChunkEvents + 10)
 	rec.Truncate(cut)
 	if rec.Len() != cut {
 		t.Fatalf("Len after truncate = %d; want %d", rec.Len(), cut)
@@ -169,7 +169,7 @@ func TestRecordingChecksum(t *testing.T) {
 // the sum/sumOK pair.
 func TestRecordingChecksumMemoInvalidation(t *testing.T) {
 	const readers = 8
-	evs := synthEvents(2*chunkEvents+100, 25)
+	evs := synthEvents(2*ChunkEvents+100, 25)
 	rec, twin := record(evs), record(evs)
 
 	// checksums fans out concurrent Checksum calls and asserts they agree.
@@ -201,7 +201,7 @@ func TestRecordingChecksumMemoInvalidation(t *testing.T) {
 		t.Fatalf("memoized checksum %#x != computed %#x", again, full)
 	}
 
-	cut := int64(chunkEvents + 7)
+	cut := int64(ChunkEvents + 7)
 	rec.Truncate(cut)
 	truncated := checksums(rec)
 	if truncated == full {
@@ -224,7 +224,7 @@ func TestRecordingChecksumMemoInvalidation(t *testing.T) {
 }
 
 func TestRecordingBytesAndRelease(t *testing.T) {
-	rec := record(synthEvents(3*chunkEvents, 11))
+	rec := record(synthEvents(3*ChunkEvents, 11))
 	if rec.Bytes() <= 0 {
 		t.Fatal("finished recording reports zero bytes")
 	}
@@ -233,8 +233,8 @@ func TestRecordingBytesAndRelease(t *testing.T) {
 	if rec.Len() != 0 || rec.Bytes() != 0 {
 		t.Fatalf("released recording still holds %d events / %d bytes", rec.Len(), rec.Bytes())
 	}
-	// Pooled chunks must come back clean for the next capture.
-	evs := synthEvents(chunkEvents/2, 7)
+	// Recycled chunks must come back clean for the next capture.
+	evs := synthEvents(ChunkEvents/2, 7)
 	again := record(evs)
 	got := collect(t, again)
 	for i := range evs {
@@ -254,17 +254,36 @@ func TestRecorderAbort(t *testing.T) {
 	r.Abort()
 }
 
-func TestRecorderTee(t *testing.T) {
-	var teed int64
-	r := NewRecorder(HandlerFunc(func(*Event) { teed++ }))
-	evs := synthEvents(500, 0)
+// TestRecorderWindow reads a capture in place while it fills, the way an
+// engine bank does: At and Snapshot agree with the events appended so far,
+// and Trim drops whole chunks below its bound and reuses them for later
+// events without disturbing anything at or past the bound.
+func TestRecorderWindow(t *testing.T) {
+	evs := synthEvents(3*ChunkEvents+77, 19)
+	r := NewWindow()
+	win := r.Recording()
+	a0, _ := ChunkCounts()
+	low := int64(0)
 	for i := range evs {
 		r.Event(&evs[i])
+		if i%1000 != 999 {
+			continue
+		}
+		for p := low; p <= int64(i); p += 97 {
+			want := evs[p]
+			v := win.At(p)
+			got := Event{Func: v.Func(), ID: v.ID(), Frame: v.Frame(), Addr: v.Addr(), Val: v.Val(), Taken: v.Taken(), Snapshot: win.Snapshot(p)}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("event %d read in place: got %+v want %+v", p, got, want)
+			}
+		}
+		low = max(0, int64(i)-5000)
+		r.Trim(low)
 	}
-	rec := r.Finalize(500)
-	if teed != 500 || rec.Len() != 500 {
-		t.Fatalf("tee saw %d events, recording holds %d; want 500/500", teed, rec.Len())
+	if a1, _ := ChunkCounts(); a1-a0 > 2 {
+		t.Errorf("a trimmed window allocated %d chunks; want at most 2 (the rest reused)", a1-a0)
 	}
+	r.Abort()
 }
 
 // TestReplaySteadyStateAllocs mirrors arch.TestSpeculationSteadyStateAllocs:
@@ -274,7 +293,7 @@ func TestReplaySteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is perturbed by the race detector")
 	}
-	rec := record(synthEvents(chunkEvents+999, 61))
+	rec := record(synthEvents(ChunkEvents+999, 61))
 	var sink int64
 	h := HandlerFunc(func(ev *Event) { sink += ev.Val + int64(len(ev.Snapshot)) })
 	var rp Replayer
