@@ -117,10 +117,7 @@ func soakExpectation(req client.SimulateRequest) (*client.SimulateResponse, erro
 	if err != nil {
 		return nil, err
 	}
-	scale := req.Scale
-	if scale <= 0 {
-		scale = 1
-	}
+	scale := service.ScaleOf(req.Scale)
 	run, err := harness.RunBenchmarkCached(req.Benchmark, scale, cfg, nil)
 	if err != nil {
 		return nil, err

@@ -411,43 +411,30 @@ func (m *Manager) restoreResultsToStore(jobs []service.ReplayedJob) {
 func storeEntryFor(kind string, req, result json.RawMessage) (string, []byte, bool) {
 	switch kind {
 	case service.KindCompile:
-		var cr client.CompileRequest
-		var resp client.CompileResponse
-		if json.Unmarshal(req, &cr) != nil || json.Unmarshal(result, &resp) != nil {
-			return "", nil, false
-		}
-		resp.JobID = ""
-		payload, err := json.Marshal(&resp)
-		if err != nil {
-			return "", nil, false
-		}
-		return CompileKey(cr), payload, true
+		return restoredEntry[client.CompileRequest](req, result, func(r *client.CompileResponse) { r.JobID = "" })
 	case service.KindSimulate:
-		var sr client.SimulateRequest
-		var resp client.SimulateResponse
-		if json.Unmarshal(req, &sr) != nil || json.Unmarshal(result, &resp) != nil {
-			return "", nil, false
-		}
-		resp.JobID = ""
-		payload, err := json.Marshal(&resp)
-		if err != nil {
-			return "", nil, false
-		}
-		return SimulateKey(sr), payload, true
+		return restoredEntry[client.SimulateRequest](req, result, func(r *client.SimulateResponse) { r.JobID = "" })
 	case service.KindSweep:
-		var wr client.SweepRequest
-		var resp client.SweepResponse
-		if json.Unmarshal(req, &wr) != nil || json.Unmarshal(result, &resp) != nil {
-			return "", nil, false
-		}
-		resp.JobID = ""
-		payload, err := json.Marshal(&resp)
-		if err != nil {
-			return "", nil, false
-		}
-		return SweepKey(wr), payload, true
+		return restoredEntry[client.SweepRequest](req, result, func(r *client.SweepResponse) { r.JobID = "" })
 	}
 	return "", nil, false
+}
+
+// restoredEntry decodes one journaled request and result, strips the job-id
+// stamp and re-marshals the result under the request's store key.
+func restoredEntry[Req, Resp any](req, result json.RawMessage, unstamp func(*Resp)) (string, []byte, bool) {
+	var r Req
+	var resp Resp
+	if json.Unmarshal(req, &r) != nil || json.Unmarshal(result, &resp) != nil {
+		return "", nil, false
+	}
+	unstamp(&resp)
+	key := resultKey(r)
+	payload, err := json.Marshal(&resp)
+	if key == "" || err != nil {
+		return "", nil, false
+	}
+	return key, payload, true
 }
 
 // StealsWon reports how many dead-peer journals this node claimed (tests).

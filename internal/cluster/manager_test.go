@@ -51,7 +51,7 @@ func newClusterServer(t *testing.T, name, journalDir string) (*service.Server, *
 // writeDeadNodeJournal runs a real daemon as `name`, pushes async jobs
 // through it so its write-ahead journal fills, and shuts it down — leaving
 // behind exactly what a SIGKILLed node leaves for the survivors.
-func writeDeadNodeJournal(t *testing.T, root, name string, benches []string) []string {
+func writeDeadNodeJournal(t *testing.T, root, name string, reqs []client.SimulateRequest) []string {
 	t.Helper()
 	s, jn := newClusterServer(t, name, filepath.Join(root, name))
 	ts := httptest.NewServer(s.Handler())
@@ -60,13 +60,11 @@ func writeDeadNodeJournal(t *testing.T, root, name string, benches []string) []s
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	var ids []string
-	for _, bench := range benches {
-		resp, err := c.Simulate(ctx, client.SimulateRequest{
-			JobRequest: client.JobRequest{Async: true},
-			Benchmark:  bench,
-		})
+	for _, req := range reqs {
+		req.Async = true
+		resp, err := c.Simulate(ctx, req)
 		if err != nil {
-			t.Fatalf("submit %s: %v", bench, err)
+			t.Fatalf("submit %s: %v", req.Benchmark, err)
 		}
 		ids = append(ids, resp.JobID)
 	}
@@ -104,7 +102,7 @@ func joinManager(cfg ManagerConfig, peers map[string]string) (*Manager, error) {
 
 func TestStealExactlyOneSurvivorAdopts(t *testing.T) {
 	root := t.TempDir()
-	ids := writeDeadNodeJournal(t, root, "n3", []string{"parser", "mcf"})
+	ids := writeDeadNodeJournal(t, root, "n3", []client.SimulateRequest{{Benchmark: "parser"}, {Benchmark: "mcf"}})
 
 	members := map[string]string{
 		"n1": "http://127.0.0.1:1",
@@ -518,10 +516,15 @@ func TestStopCancelsInflightProbe(t *testing.T) {
 // TestStealRestoresResultsToStore: adopting a dead peer's journal also
 // restores its computed results into the tiered store — the journal is the
 // durable record when the dead node's replica pushes raced its crash — so
-// a later request for the same work is a store hit, not a recompute.
+// a later request for the same work is a store hit, not a recompute. The
+// restored key is the canonical machine's, so parser journaled as
+// {"cores":2,"srb":1024} serves a later plain {} request.
 func TestStealRestoresResultsToStore(t *testing.T) {
 	root := t.TempDir()
-	writeDeadNodeJournal(t, root, "n3", []string{"parser", "mcf"})
+	writeDeadNodeJournal(t, root, "n3", []client.SimulateRequest{
+		{Benchmark: "parser", Cores: 2, SRB: 1024},
+		{Benchmark: "mcf"},
+	})
 
 	s, _ := newClusterServer(t, "n1", filepath.Join(root, "n1"))
 	st, err := NewStore(StoreConfig{Dir: t.TempDir()})

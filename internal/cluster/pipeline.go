@@ -3,7 +3,6 @@ package cluster
 import (
 	"context"
 	"encoding/json"
-	"fmt"
 
 	"repro/internal/guard"
 	"repro/internal/service"
@@ -11,10 +10,10 @@ import (
 )
 
 // Pipeline is a service.Pipeline decorator that consults the tiered Store
-// before computing and writes every computed result back. Keys cover
-// exactly the fields that determine the result — budgets, priorities and
-// async flags are excluded, so a result computed under one budget serves
-// every later request for the same work.
+// before computing and writes every computed result back. A result is keyed
+// by its service.Identity — the program and the canonical machine it
+// builds — so every spelling of the same work shares one stored result,
+// and a result computed under one budget serves every later request.
 //
 // Cache-hit responses are decoded into fresh values, so the daemon's
 // post-processing (stamping the job id) never mutates stored bytes: what
@@ -29,96 +28,65 @@ func NewPipeline(next service.Pipeline, store *Store) *Pipeline {
 	return &Pipeline{next: next, store: store}
 }
 
-func scaleOf(s int) int {
-	if s <= 0 {
-		return 1
+// resultKey hashes a request's service.Identity into its store key. A
+// request the pipeline will reject has no identity and gets "".
+func resultKey(req any) string {
+	id, err := service.Identity(req)
+	if err != nil {
+		return ""
 	}
-	return s
+	return Key(id)
 }
 
 // CompileKey is the store key of a compile request.
-func CompileKey(req client.CompileRequest) string {
-	return Key(service.KindCompile, req.Benchmark, fmt.Sprint(scaleOf(req.Scale)))
-}
+func CompileKey(req client.CompileRequest) string { return resultKey(req) }
 
-// SimulateKey is the store key of a simulate request: every field that
-// shapes the simulated machine, and none of the budgets.
-func SimulateKey(req client.SimulateRequest) string {
-	return Key(service.KindSimulate, req.Benchmark, fmt.Sprint(scaleOf(req.Scale)),
-		req.Recovery, req.RegCheck, fmt.Sprint(req.SRB),
-		fmt.Sprint(req.Cores), req.Sched, fmt.Sprint(req.Stride), req.LiveIn)
-}
+// SimulateKey is the store key of a simulate request ("" if invalid).
+func SimulateKey(req client.SimulateRequest) string { return resultKey(req) }
 
-// SweepKey is the store key of a sweep request. Cores sets the machine of
-// the sched and livein families.
-func SweepKey(req client.SweepRequest) string {
-	parts := []string{req.Benchmark, fmt.Sprint(scaleOf(req.Scale)), req.Sweep, fmt.Sprint(req.Cores)}
-	for _, p := range req.Points {
-		parts = append(parts, fmt.Sprint(p))
-	}
-	return Key(service.KindSweep, parts...)
-}
+// SweepKey is the store key of a sweep request ("" if invalid).
+func SweepKey(req client.SweepRequest) string { return resultKey(req) }
 
-// lookup decodes a stored payload into out, reporting whether it hit. A
+// readThrough serves key from the store or computes and stores it. A
 // payload that fails to decode (format drift across versions) is treated
-// as a miss and recomputed.
-func (p *Pipeline) lookup(key string, out any) bool {
-	payload, ok := p.store.Get(key)
-	if !ok {
-		return false
+// as a miss and recomputed; an empty key skips the store, so the wrapped
+// pipeline reports the request's validation error.
+func readThrough[Resp any](s *Store, key string, compute func() (*Resp, error)) (*Resp, error) {
+	if key != "" {
+		if payload, ok := s.Get(key); ok {
+			var cached Resp
+			if json.Unmarshal(payload, &cached) == nil {
+				return &cached, nil
+			}
+		}
 	}
-	return json.Unmarshal(payload, out) == nil
-}
-
-func (p *Pipeline) put(key string, v any) {
-	payload, err := json.Marshal(v)
+	resp, err := compute()
 	if err != nil {
-		return
+		return nil, err
 	}
-	p.store.Put(key, payload)
+	if payload, err := json.Marshal(resp); key != "" && err == nil {
+		s.Put(key, payload)
+	}
+	return resp, nil
 }
 
 // Compile implements service.Pipeline.
 func (p *Pipeline) Compile(ctx context.Context, req client.CompileRequest, budget guard.Budget) (*client.CompileResponse, error) {
-	key := CompileKey(req)
-	var cached client.CompileResponse
-	if p.lookup(key, &cached) {
-		return &cached, nil
-	}
-	resp, err := p.next.Compile(ctx, req, budget)
-	if err != nil {
-		return nil, err
-	}
-	p.put(key, resp)
-	return resp, nil
+	return readThrough(p.store, CompileKey(req), func() (*client.CompileResponse, error) {
+		return p.next.Compile(ctx, req, budget)
+	})
 }
 
 // Simulate implements service.Pipeline.
 func (p *Pipeline) Simulate(ctx context.Context, req client.SimulateRequest, budget guard.Budget) (*client.SimulateResponse, error) {
-	key := SimulateKey(req)
-	var cached client.SimulateResponse
-	if p.lookup(key, &cached) {
-		return &cached, nil
-	}
-	resp, err := p.next.Simulate(ctx, req, budget)
-	if err != nil {
-		return nil, err
-	}
-	p.put(key, resp)
-	return resp, nil
+	return readThrough(p.store, SimulateKey(req), func() (*client.SimulateResponse, error) {
+		return p.next.Simulate(ctx, req, budget)
+	})
 }
 
 // Sweep implements service.Pipeline.
 func (p *Pipeline) Sweep(ctx context.Context, req client.SweepRequest, budget guard.Budget) (*client.SweepResponse, error) {
-	key := SweepKey(req)
-	var cached client.SweepResponse
-	if p.lookup(key, &cached) {
-		return &cached, nil
-	}
-	resp, err := p.next.Sweep(ctx, req, budget)
-	if err != nil {
-		return nil, err
-	}
-	p.put(key, resp)
-	return resp, nil
+	return readThrough(p.store, SweepKey(req), func() (*client.SweepResponse, error) {
+		return p.next.Sweep(ctx, req, budget)
+	})
 }

@@ -5,6 +5,8 @@ import (
 	"hash/fnv"
 	"sort"
 	"sync"
+
+	"repro/internal/service"
 )
 
 // RouteKey is the cluster routing identity of a request: the benchmark and
@@ -14,10 +16,7 @@ import (
 // node, which is what lets that node's recording cache interpret the program
 // once and replay it for every variant the cluster sees.
 func RouteKey(benchmark string, scale int) string {
-	if scale <= 0 {
-		scale = 1
-	}
-	return fmt.Sprintf("%s/%d", benchmark, scale)
+	return fmt.Sprintf("%s/%d", benchmark, service.ScaleOf(scale))
 }
 
 // Ring is a consistent-hash ring over named nodes. Each member is projected

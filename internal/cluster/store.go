@@ -25,10 +25,8 @@ import (
 	"time"
 )
 
-// Key derives a store key from a job's identity fields: a sha256 over the
-// kind and every request field that determines the result (budgets are
-// excluded — they only bound execution, a successful result is identical
-// under any budget that let it finish).
+// Key derives a store key: a sha256 over its NUL-separated arguments. The
+// pipeline passes a single argument, the request's service.Identity.
 func Key(kind string, parts ...string) string {
 	h := sha256.New()
 	io.WriteString(h, kind)
@@ -38,6 +36,13 @@ func Key(kind string, parts ...string) string {
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }
+
+// The in-process LRU holds at most memEntries results and memBytes of
+// payload; the most recent entry stays even when it alone is larger.
+const (
+	memEntries = 512
+	memBytes   = 64 << 20
+)
 
 // StoreConfig sizes a Store. Zero values take the documented defaults.
 type StoreConfig struct {
@@ -50,11 +55,6 @@ type StoreConfig struct {
 	// Writes are atomic (tmp + fsync + rename), so the spill survives
 	// SIGKILL: a torn write is at worst an orphaned tmp file.
 	Dir string
-	// MemEntries bounds the in-process LRU (default 512; negative = 0).
-	MemEntries int
-	// MemBytes bounds the in-process LRU's payload bytes (default 64 MiB;
-	// negative = unbounded).
-	MemBytes int64
 	// MaxObjectBytes bounds one stored object (default 64 MiB; negative =
 	// unbounded). Put refuses larger payloads and the peer-fetch tier skips
 	// them, both counted in the Oversized stat — otherwise a locally stored
@@ -122,18 +122,6 @@ type memEntry struct {
 
 // NewStore builds the store and creates the disk layout when Dir is set.
 func NewStore(cfg StoreConfig) (*Store, error) {
-	if cfg.MemEntries == 0 {
-		cfg.MemEntries = 512
-	}
-	if cfg.MemEntries < 0 {
-		cfg.MemEntries = 0
-	}
-	if cfg.MemBytes == 0 {
-		cfg.MemBytes = 64 << 20
-	}
-	if cfg.MemBytes < 0 {
-		cfg.MemBytes = 0 // unbounded
-	}
 	if cfg.MaxObjectBytes == 0 {
 		cfg.MaxObjectBytes = 64 << 20
 	}
@@ -360,8 +348,7 @@ func (s *Store) memPut(key string, payload []byte) {
 		s.entries[key] = s.lru.PushFront(&memEntry{key: key, payload: payload})
 		s.bytes += int64(len(payload))
 	}
-	for (s.cfg.MemEntries > 0 && s.lru.Len() > s.cfg.MemEntries) ||
-		(s.cfg.MemBytes > 0 && s.bytes > s.cfg.MemBytes && s.lru.Len() > 1) {
+	for s.lru.Len() > memEntries || (s.bytes > memBytes && s.lru.Len() > 1) {
 		el := s.lru.Back()
 		ent := el.Value.(*memEntry)
 		s.lru.Remove(el)

@@ -391,6 +391,87 @@ func TestPipelineReadThroughKeysOnResultFields(t *testing.T) {
 	if cp.compiles.Load() != 1 {
 		t.Fatalf("scale default fragmented the key space: %d computes", cp.compiles.Load())
 	}
+
+	// The key is the canonical machine, not the spelling: each of seven
+	// knobs omitted or spelled at its default, all 2^7 ways, is one result.
+	defaults := []func(*client.SimulateRequest){
+		func(r *client.SimulateRequest) { r.Cores = 2 },
+		func(r *client.SimulateRequest) { r.Stride = 1 },
+		func(r *client.SimulateRequest) { r.Recovery = "srxfc" },
+		func(r *client.SimulateRequest) { r.RegCheck = "value" },
+		func(r *client.SimulateRequest) { r.SRB = 1024 },
+		func(r *client.SimulateRequest) { r.Sched = "inorder" },
+		func(r *client.SimulateRequest) { r.LiveIn = "svp" },
+	}
+	before := cp.simulates.Load()
+	for mask := 0; mask < 1<<len(defaults); mask++ {
+		spelled := client.SimulateRequest{Benchmark: "mcf"}
+		for i, set := range defaults {
+			if mask&(1<<i) != 0 {
+				set(&spelled)
+			}
+		}
+		if _, err := p.Simulate(ctx, spelled, guard.Budget{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := cp.simulates.Load() - before; got != 1 {
+		t.Fatalf("128 spellings of the default machine computed %d times, want 1", got)
+	}
+
+	// A sweep's Cores and Points count only through the variants they
+	// produce: families that ignore Cores, and points spelling out the
+	// default list, share the key of the plain request.
+	sweepOnce := func(what, benchmark string, reqs ...client.SweepRequest) {
+		t.Helper()
+		before := cp.sweeps.Load()
+		for _, r := range reqs {
+			r.Benchmark = benchmark
+			if _, err := p.Sweep(ctx, r, guard.Budget{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := cp.sweeps.Load() - before; got != 1 {
+			t.Errorf("%s: %d computes, want 1", what, got)
+		}
+	}
+	for _, family := range []string{"srb", "recovery", "regcheck", "overhead", "cores"} {
+		sweepOnce(family+" sweep with cores 4", "gzip", client.SweepRequest{Sweep: family},
+			client.SweepRequest{Sweep: family, Cores: 4})
+	}
+	for family, points := range map[string][]int{
+		"srb": {16, 64, 256, 1024}, "overhead": {1, 4, 16}, "cores": {2, 4, 8}, "sched": {2, 4},
+	} {
+		sweepOnce(family+" sweep with its default points", "twolf", client.SweepRequest{Sweep: family},
+			client.SweepRequest{Sweep: family, Points: points})
+	}
+	sweepOnce("livein sweep at the default 4 cores", "gzip", client.SweepRequest{Sweep: "livein"},
+		client.SweepRequest{Sweep: "livein", Cores: 4})
+
+	// Different points are different variants.
+	before = cp.sweeps.Load()
+	if _, err := p.Sweep(ctx, client.SweepRequest{Benchmark: "gzip", Sweep: "srb", Points: []int{16, 64}}, guard.Budget{}); err != nil {
+		t.Fatal(err)
+	}
+	if cp.sweeps.Load() != before+1 {
+		t.Errorf("srb sweep with other points was served from the store")
+	}
+
+	// A request the pipeline rejects has no key: it is never stored, so
+	// the wrapped pipeline sees it every time.
+	bad := client.SimulateRequest{Benchmark: "parser", Recovery: "psychic"}
+	if SimulateKey(bad) != "" {
+		t.Fatalf("invalid request got a store key")
+	}
+	before = cp.simulates.Load()
+	for i := 0; i < 2; i++ {
+		if _, err := p.Simulate(ctx, bad, guard.Budget{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if cp.simulates.Load() != before+2 {
+		t.Fatalf("invalid request was served from the store")
+	}
 }
 
 // TestStoreQuarantineCapEvictsOldest: quarantine/ is bounded by file count

@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"fmt"
+	"strings"
 
 	"repro/internal/arch"
 	"repro/internal/artifact"
@@ -38,13 +39,13 @@ func (p *sptPipeline) Compile(ctx context.Context, req client.CompileRequest, bu
 	err := guard.Run(req.Benchmark, guard.StageCompile, func() error {
 		sctx, cancel := budget.Context(ctx)
 		defer cancel()
-		cres, err := harness.CompileBenchmarkCached(sctx, req.Benchmark, scaleOf(req.Scale), p.cache)
+		cres, err := harness.CompileBenchmarkCached(sctx, req.Benchmark, ScaleOf(req.Scale), p.cache)
 		if err != nil {
 			return err
 		}
 		resp = &client.CompileResponse{
 			Benchmark:   req.Benchmark,
-			Scale:       scaleOf(req.Scale),
+			Scale:       ScaleOf(req.Scale),
 			Fingerprint: artifact.Fingerprint(cres.Program),
 		}
 		for _, l := range cres.Loops {
@@ -77,7 +78,7 @@ func (p *sptPipeline) Simulate(ctx context.Context, req client.SimulateRequest, 
 	if err != nil {
 		return nil, err
 	}
-	run, err := harness.RunBenchmarkGuarded(ctx, req.Benchmark, scaleOf(req.Scale), cfg, harness.GuardOptions{
+	run, err := harness.RunBenchmarkGuarded(ctx, req.Benchmark, ScaleOf(req.Scale), cfg, harness.GuardOptions{
 		Budget:    budget,
 		Artifacts: p.cache,
 		// The daemon's cache is byte-bounded and outlives the request, so
@@ -90,7 +91,7 @@ func (p *sptPipeline) Simulate(ctx context.Context, req client.SimulateRequest, 
 	}
 	return &client.SimulateResponse{
 		Benchmark: req.Benchmark,
-		Scale:     scaleOf(req.Scale),
+		Scale:     ScaleOf(req.Scale),
 		Baseline:  Summarize(run.Baseline),
 		SPT:       Summarize(run.SPT),
 		Speedup:   run.Speedup(),
@@ -103,7 +104,7 @@ func (p *sptPipeline) Sweep(ctx context.Context, req client.SweepRequest, budget
 	if err != nil {
 		return nil, err
 	}
-	rows, err := harness.Sweep(ctx, req.Benchmark, scaleOf(req.Scale), variants, harness.GuardOptions{
+	rows, err := harness.Sweep(ctx, req.Benchmark, ScaleOf(req.Scale), variants, harness.GuardOptions{
 		Budget:    budget,
 		Artifacts: p.cache,
 	})
@@ -113,7 +114,7 @@ func (p *sptPipeline) Sweep(ctx context.Context, req client.SweepRequest, budget
 	}
 	return &client.SweepResponse{
 		Benchmark: req.Benchmark,
-		Scale:     scaleOf(req.Scale),
+		Scale:     ScaleOf(req.Scale),
 		Sweep:     req.Sweep,
 		Rows:      wireRows,
 	}, nil
@@ -144,11 +145,58 @@ func sweepRows(rows []harness.AblationRow, err error) ([]client.SweepRow, error)
 	return out, nil
 }
 
-func scaleOf(s int) int {
+// ScaleOf applies the default scale: a request's zero or negative scale
+// means scale 1. It is the one place the default lives, so the daemon, the
+// result identity and the cluster's routing key all name the same program.
+func ScaleOf(s int) int {
 	if s <= 0 {
 		return 1
 	}
 	return s
+}
+
+// Identity renders what a request's result is a deterministic function
+// of: the kind, the program (benchmark and defaulted scale) and, for
+// simulate and sweep, the canonical machine each configuration builds. A
+// sweep contributes its family and every expanded variant's label and
+// canonical config, in order, so its Cores and Points count only through
+// the variants they produce. Requests that build the same machines on the
+// same program share one identity whatever their spelling; budgets,
+// priorities and async flags never enter it. A request the pipeline would
+// reject returns that validation error instead.
+func Identity(req any) (string, error) {
+	switch r := req.(type) {
+	case client.CompileRequest:
+		return programIdentity(KindCompile, r.Benchmark, r.Scale), nil
+	case client.SimulateRequest:
+		cfg, err := ConfigFromRequest(r)
+		if err != nil {
+			return "", err
+		}
+		return programIdentity(KindSimulate, r.Benchmark, r.Scale) + " " + machineIdentity(cfg), nil
+	case client.SweepRequest:
+		variants, err := sweepVariants(r)
+		if err != nil {
+			return "", err
+		}
+		var b strings.Builder
+		fmt.Fprintf(&b, "%s %q", programIdentity(KindSweep, r.Benchmark, r.Scale), r.Sweep)
+		for _, v := range variants {
+			fmt.Fprintf(&b, " %q %s", v.Label, machineIdentity(v.Config))
+		}
+		return b.String(), nil
+	}
+	return "", fmt.Errorf("no result identity for %T", req)
+}
+
+func programIdentity(kind, benchmark string, scale int) string {
+	return fmt.Sprintf("%s %q scale=%d", kind, benchmark, ScaleOf(scale))
+}
+
+// machineIdentity renders every field of the canonical configuration by
+// name, so a new Config knob reaches the identity without being listed.
+func machineIdentity(cfg arch.Config) string {
+	return fmt.Sprintf("%#v", cfg.Canonical())
 }
 
 // ValidateBenchmark rejects unknown benchmark names at admission time, so

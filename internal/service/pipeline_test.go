@@ -2,9 +2,11 @@ package service
 
 import (
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/arch"
 	"repro/internal/harness"
 	"repro/internal/multispec"
 	"repro/spt/client"
@@ -118,5 +120,120 @@ func TestSweepRowsPartialFailure(t *testing.T) {
 	}
 	if rows, err := sweepRows(nil, nil); err != nil || len(rows) != 0 {
 		t.Errorf("empty sweep: rows=%v err=%v", rows, err)
+	}
+}
+
+// TestIdentityCoversEveryConfigField is the guard that a new machine knob
+// reaches the store key. It walks every leaf field of arch.Config, nested
+// cache levels included, and gives each a valid non-default value, one at
+// a time. The machine identity must change exactly when Canonical tells
+// the two machines apart. From the Table 1 machine every field must count;
+// from the baseline machine the speculation knobs that Canonical folds
+// away must not. A field of a kind the walk cannot vary fails the test.
+func TestIdentityCoversEveryConfigField(t *testing.T) {
+	var leaves [][]int
+	var collect func(typ reflect.Type, prefix []int)
+	collect = func(typ reflect.Type, prefix []int) {
+		for i := 0; i < typ.NumField(); i++ {
+			idx := append(append([]int(nil), prefix...), i)
+			if ft := typ.Field(i).Type; ft.Kind() == reflect.Struct {
+				collect(ft, idx)
+			} else {
+				leaves = append(leaves, idx)
+			}
+		}
+	}
+	collect(reflect.TypeOf(arch.Config{}), nil)
+
+	for _, base := range []struct {
+		name     string
+		cfg      arch.Config
+		allCount bool
+	}{
+		{"default", arch.DefaultConfig(), true},
+		{"baseline", arch.BaselineConfig(), false},
+	} {
+		for _, idx := range leaves {
+			mut := base.cfg
+			field := reflect.ValueOf(&mut).Elem().FieldByIndex(idx)
+			name := base.name + "." + fieldPath(reflect.TypeOf(mut), idx)
+			if !setNonDefault(t, name, field, &mut) {
+				t.Errorf("%s: no valid non-default value found", name)
+				continue
+			}
+			sameID := machineIdentity(base.cfg) == machineIdentity(mut)
+			sameMachine := base.cfg.Canonical() == mut.Canonical()
+			if sameID != sameMachine {
+				t.Errorf("%s: identity equal = %v, canonical machines equal = %v", name, sameID, sameMachine)
+			}
+			if base.allCount && sameID {
+				t.Errorf("%s: changing the field left the Table 1 machine's identity unchanged", name)
+			}
+		}
+	}
+}
+
+func fieldPath(typ reflect.Type, idx []int) string {
+	var parts []string
+	for _, i := range idx {
+		f := typ.Field(i)
+		parts = append(parts, f.Name)
+		typ = f.Type
+	}
+	return strings.Join(parts, ".")
+}
+
+// setNonDefault gives field a value other than its current one for which
+// cfg still validates. Doubling comes first, so sizes stay powers of two.
+func setNonDefault(t *testing.T, name string, field reflect.Value, cfg *arch.Config) bool {
+	switch field.Kind() {
+	case reflect.Bool:
+		field.SetBool(!field.Bool())
+		return cfg.Validate() == nil
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		orig := field.Int()
+		for _, v := range []int64{orig * 2, orig + 3, orig + 1} {
+			if field.SetInt(v); v != orig && cfg.Validate() == nil {
+				return true
+			}
+		}
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		orig := field.Uint()
+		for _, v := range []uint64{orig * 2, orig + 3, orig + 1} {
+			if field.SetUint(v); v != orig && cfg.Validate() == nil {
+				return true
+			}
+		}
+	default:
+		t.Fatalf("%s: arch.Config field of kind %s; teach this walk to vary it", name, field.Kind())
+	}
+	return false
+}
+
+// TestIdentityRejectsWhatThePipelineRejects: a request with no valid
+// machine has no identity, and the three kinds never share one.
+func TestIdentityRejectsWhatThePipelineRejects(t *testing.T) {
+	for _, bad := range []any{
+		client.SimulateRequest{Benchmark: "parser", Cores: 1},
+		client.SimulateRequest{Benchmark: "parser", SRB: 1 << 20},
+		client.SweepRequest{Benchmark: "parser", Sweep: "fastest"},
+		client.SweepRequest{Benchmark: "parser", Sweep: "srb", Points: []int{0}},
+		client.JobRequest{},
+	} {
+		if id, err := Identity(bad); err == nil {
+			t.Errorf("%T %+v got identity %q; want an error", bad, bad, id)
+		}
+	}
+	ids := map[string]bool{}
+	for _, req := range []any{
+		client.CompileRequest{Benchmark: "parser"},
+		client.SimulateRequest{Benchmark: "parser"},
+		client.SweepRequest{Benchmark: "parser", Sweep: "srb"},
+	} {
+		id, err := Identity(req)
+		if err != nil || ids[id] {
+			t.Fatalf("%T: identity %q, err %v (duplicate: %v)", req, id, err, ids[id])
+		}
+		ids[id] = true
 	}
 }
