@@ -16,7 +16,7 @@
 // Endpoints:
 //
 //	POST /v1/compile         {"benchmark":"parser","scale":1}
-//	POST /v1/simulate        {"benchmark":"parser","recovery":"squash","srb":64}
+//	POST /v1/simulate        {"benchmark":"parser","cores":4,"srb":64}
 //	POST /v1/sweep           {"benchmark":"parser","sweep":"srb","points":[16,64]}
 //	GET  /v1/jobs/{id}       poll an async job ("async": true on any POST)
 //	GET  /v1/store/{key}     fetch a stored result by content key (peer tier)

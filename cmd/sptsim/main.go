@@ -32,6 +32,9 @@ import (
 	"repro/internal/lang"
 	"repro/internal/multispec"
 	"repro/internal/opt"
+	"repro/internal/profiler"
+	"repro/internal/service"
+	"repro/spt/client"
 )
 
 func main() {
@@ -40,19 +43,30 @@ func main() {
 		file     = flag.String("file", "", "simulate a textual-IR program file instead of a benchmark (runs it as-is: compile first with sptc -o)")
 		src      = flag.String("src", "", "compile a MiniC source file, run it through the SPT compiler, and simulate")
 		scale    = flag.Int("scale", 1, "workload scale")
-		recovery = flag.String("recovery", "srxfc", "misspeculation recovery: srxfc | squash")
-		regcheck = flag.String("regcheck", "value", "register dependence checking: value | update")
-		srb      = flag.Int("srb", 1024, "speculation result buffer entries")
+		recovery = flag.String("recovery", "", "misspeculation recovery: "+arch.RecoverySRXFC.String()+" (default) | "+arch.RecoverySquash.String())
+		regcheck = flag.String("regcheck", "", "register dependence checking: "+arch.RegCheckValue.String()+" (default) | "+arch.RegCheckUpdate.String())
+		srb      = flag.Int("srb", 0, "speculation result buffer entries (0 = Table 1's 1024)")
 		ncores   = flag.Int("cores", 0, "total CMP cores (0 or 2 = the paper's classic machine, 3+ = chained speculation)")
-		sched    = flag.String("sched", "inorder", "spec-thread scheduling policy: inorder | stride | eager")
-		stride   = flag.Int("stride", 1, "iteration lookahead per spawn for -sched stride")
-		livein   = flag.String("livein", "svp", "spawned-thread live-in delivery: svp | slice")
+		sched    = flag.String("sched", "", "spec-thread scheduling policy: inorder (default) | stride | eager")
+		stride   = flag.Int("stride", 0, fmt.Sprintf("iteration lookahead per spawn for -sched stride (0 = next iteration, at most %d)", multispec.MaxStride))
+		livein   = flag.String("livein", "", "spawned-thread live-in delivery: svp (default) | slice")
 		timeout  = flag.Duration("timeout", 0, "wall-clock budget per stage (0 = unlimited)")
 		steps    = flag.Int64("budget", 0, "architectural step budget per simulation (0 = unlimited)")
 		cycles   = flag.Int64("cycles", 0, "cycle budget per simulation (0 = unlimited)")
 	)
 	flag.Parse()
 	budget := guard.Budget{Timeout: *timeout, Steps: *steps, Cycles: *cycles}
+	// The machine is built exactly as the daemon builds a simulate
+	// request's: zero flags are the Table 1 defaults, and the rest must
+	// pass arch.Config.Validate.
+	cfg, err := service.ConfigFromRequest(client.SimulateRequest{
+		Recovery: *recovery, RegCheck: *regcheck, SRB: *srb,
+		Cores: *ncores, Sched: *sched, Stride: *stride, LiveIn: *livein,
+	})
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "sptsim: %v\n", err)
+		os.Exit(2)
+	}
 
 	label := *name
 	if *file != "" {
@@ -96,45 +110,6 @@ func main() {
 		}
 		sptProg = cres.Program
 	}
-	cfg := arch.DefaultConfig()
-	cfg.SRBSize = *srb
-	switch *recovery {
-	case "srxfc":
-		cfg.Recovery = arch.RecoverySRXFC
-	case "squash":
-		cfg.Recovery = arch.RecoverySquash
-	default:
-		fmt.Fprintln(os.Stderr, "sptsim: bad -recovery")
-		os.Exit(2)
-	}
-	switch *regcheck {
-	case "value":
-		cfg.RegCheck = arch.RegCheckValue
-	case "update":
-		cfg.RegCheck = arch.RegCheckUpdate
-	default:
-		fmt.Fprintln(os.Stderr, "sptsim: bad -regcheck")
-		os.Exit(2)
-	}
-	cfg.Cores = *ncores
-	pol, err := multispec.ParsePolicy(*sched)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "sptsim: bad -sched (want inorder | stride | eager)")
-		os.Exit(2)
-	}
-	cfg.Sched = pol
-	cfg.SchedStride = *stride
-	li, err := multispec.ParseLiveIn(*livein)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "sptsim: bad -livein (want svp | slice)")
-		os.Exit(2)
-	}
-	cfg.LiveIn = li
-	if err := cfg.Validate(); err != nil {
-		fmt.Fprintf(os.Stderr, "sptsim: %v\n", err)
-		os.Exit(2)
-	}
-
 	base, err := simulate(budget, label, guard.StageBaseline, prog, arch.BaselineConfig())
 	if err != nil {
 		fail(label, err, nil)
@@ -157,24 +132,19 @@ func main() {
 	fmt.Printf("  speculative core utilization %.1f%%\n\n", 100*spt.SpecUtilization())
 
 	fmt.Printf("  %-26s %12s %12s %9s %6s %6s\n", "loop", "base cycles", "spt cycles", "speedup", "fast%", "miss%")
-	keys := make([]string, 0)
+	loopName := func(k profiler.LoopKey) string { return k.Func + "/" + k.Header }
+	keys := make([]profiler.LoopKey, 0, len(spt.PerLoop))
 	for k := range spt.PerLoop {
-		keys = append(keys, k.Func+"/"+k.Header)
+		keys = append(keys, k)
 	}
-	sort.Strings(keys)
-	for _, ks := range keys {
-		var sl, bl *arch.LoopStats
-		for k, v := range spt.PerLoop {
-			if k.Func+"/"+k.Header == ks {
-				sl = v
-				bl = base.PerLoop[k]
-			}
-		}
-		if sl == nil || bl == nil || sl.Windows == 0 {
+	sort.Slice(keys, func(i, j int) bool { return loopName(keys[i]) < loopName(keys[j]) })
+	for _, k := range keys {
+		sl, bl := spt.PerLoop[k], base.PerLoop[k]
+		if bl == nil || sl.Windows == 0 {
 			continue
 		}
 		fmt.Printf("  %-26s %12d %12d %8.2fx %5.1f%% %5.2f%%\n",
-			ks, bl.Cycles, sl.Cycles, float64(bl.Cycles)/float64(sl.Cycles),
+			loopName(k), bl.Cycles, sl.Cycles, float64(bl.Cycles)/float64(sl.Cycles),
 			100*sl.FastCommitRatio(), 100*sl.MisspecRatio())
 	}
 }

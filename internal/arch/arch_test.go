@@ -6,6 +6,7 @@ import (
 	"repro/internal/compiler"
 	"repro/internal/interp"
 	"repro/internal/ir"
+	"repro/internal/multispec"
 	"repro/internal/profiler"
 )
 
@@ -523,6 +524,12 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.Window = c.SRBSize },
 		func(c *Config) { c.BranchPenalty = -1 },
 		func(c *Config) { c.BPredEntries = 1 },
+		func(c *Config) { c.RegCheck = 5 },
+		func(c *Config) { c.Recovery = RecoverySquash + 1 },
+		func(c *Config) { c.BranchPenalty = maxOverheadCycles + 1 },
+		func(c *Config) { c.RFCopyCycles = maxOverheadCycles + 1 },
+		func(c *Config) { n := 1 << 62; c.FastCommitCycles = n * 5 }, // wraps to 2^62
+		func(c *Config) { c.Sched = multispec.SchedStride; c.SchedStride = multispec.MaxStride + 1 },
 	}
 	for i, mut := range bads {
 		c := DefaultConfig()

@@ -18,6 +18,7 @@ package arch
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/cache"
 	"repro/internal/multispec"
@@ -51,6 +52,71 @@ const (
 	RegCheckUpdate
 )
 
+// The enum tables, indexed by kind: each entry is the wire name (requests
+// and sptsim flags) and the report name (Table 1 and sweep-row labels).
+// Index 0 is the Table 1 default, which the empty wire name also selects.
+var (
+	recoveryNames = [...][2]string{
+		RecoverySRXFC:  {"srxfc", "selective re-execution with fast-commit (SRX+FC)"},
+		RecoverySquash: {"squash", "full squash"},
+	}
+	regCheckNames = [...][2]string{
+		RegCheckValue:  {"value", "value-based"},
+		RegCheckUpdate: {"update", "update-based"},
+	}
+)
+
+// Valid reports whether k names a defined recovery mechanism.
+func (k RecoveryKind) Valid() bool { return k >= 0 && int(k) < len(recoveryNames) }
+
+// String returns the wire name of the mechanism.
+func (k RecoveryKind) String() string { return enumName(recoveryNames[:], "recovery", int(k), 0) }
+
+// Describe returns the report name of the mechanism.
+func (k RecoveryKind) Describe() string { return enumName(recoveryNames[:], "recovery", int(k), 1) }
+
+// ParseRecovery maps a wire name onto its RecoveryKind; the empty string
+// is the SRX+FC default.
+func ParseRecovery(s string) (RecoveryKind, error) {
+	return parseEnum[RecoveryKind](recoveryNames[:], "recovery", s)
+}
+
+// Valid reports whether k names a defined register checker.
+func (k RegCheckKind) Valid() bool { return k >= 0 && int(k) < len(regCheckNames) }
+
+// String returns the wire name of the checker.
+func (k RegCheckKind) String() string { return enumName(regCheckNames[:], "regcheck", int(k), 0) }
+
+// Describe returns the report name of the checker.
+func (k RegCheckKind) Describe() string { return enumName(regCheckNames[:], "regcheck", int(k), 1) }
+
+// ParseRegCheck maps a wire name onto its RegCheckKind; the empty string
+// is the value-based default.
+func ParseRegCheck(s string) (RegCheckKind, error) {
+	return parseEnum[RegCheckKind](regCheckNames[:], "regcheck", s)
+}
+
+func enumName(names [][2]string, what string, k, col int) string {
+	if k < 0 || k >= len(names) {
+		return fmt.Sprintf("%s(%d)", what, k)
+	}
+	return names[k][col]
+}
+
+func parseEnum[K ~int](names [][2]string, what, s string) (K, error) {
+	if s == "" {
+		return 0, nil
+	}
+	wire := make([]string, len(names))
+	for k, n := range names {
+		if n[0] == s {
+			return K(k), nil
+		}
+		wire[k] = n[0]
+	}
+	return 0, fmt.Errorf("arch: bad %s %q (want %s)", what, s, strings.Join(wire, " | "))
+}
+
 // Config is the machine configuration (Table 1).
 type Config struct {
 	SPT bool // false = plain single-core run (the baseline)
@@ -78,7 +144,8 @@ type Config struct {
 	// eager-restart); see multispec.PolicyKind.
 	Sched multispec.PolicyKind
 	// SchedStride is the iteration lookahead per spawn for SchedStride
-	// (0 or 1 = next iteration). Ignored by the other policies.
+	// (0 or 1 = next iteration, at most multispec.MaxStride). Ignored by
+	// the other policies.
 	SchedStride int
 	// LiveIn selects how spawned threads receive their live-in registers:
 	// the fork-time snapshot (SVP, default) or DDG backward-slice
@@ -104,8 +171,14 @@ type Config struct {
 	CycleLimit int64
 }
 
-// Validate reports configuration errors (non-positive widths, buffer sizes
-// or penalties) before a simulation is constructed.
+// maxOverheadCycles bounds the branch penalty and the fork and commit
+// overheads, far above any modelled machine, so no sweep arithmetic on
+// them can overflow into a value that validates.
+const maxOverheadCycles = 1 << 16
+
+// Validate reports configuration errors (non-positive widths or buffer
+// sizes, out-of-range penalties, counts and strides, unknown kinds) before
+// a simulation is constructed.
 func (c Config) Validate() error {
 	switch {
 	case c.IssueWidth <= 0 || c.FetchWidth <= 0:
@@ -118,6 +191,12 @@ func (c Config) Validate() error {
 		return fmt.Errorf("arch: lookahead window (%d) must exceed the SRB (%d)", c.Window, c.SRBSize)
 	case c.BranchPenalty < 0 || c.RFCopyCycles < 0 || c.FastCommitCycles < 0:
 		return fmt.Errorf("arch: negative overhead")
+	case c.BranchPenalty > maxOverheadCycles || c.RFCopyCycles > maxOverheadCycles || c.FastCommitCycles > maxOverheadCycles:
+		return fmt.Errorf("arch: overhead above %d cycles", maxOverheadCycles)
+	case !c.Recovery.Valid():
+		return fmt.Errorf("arch: unknown recovery mechanism %d", c.Recovery)
+	case !c.RegCheck.Valid():
+		return fmt.Errorf("arch: unknown register checker %d", c.RegCheck)
 	case c.BPredEntries < 2:
 		return fmt.Errorf("arch: branch predictor needs at least 2 entries")
 	case c.StepLimit < 0 || c.CycleLimit < 0:
@@ -126,8 +205,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("arch: core count %d (want 0, or 2..%d)", c.Cores, multispec.MaxCores)
 	case !c.Sched.Valid():
 		return fmt.Errorf("arch: unknown scheduling policy %d", c.Sched)
-	case c.SchedStride < 0:
-		return fmt.Errorf("arch: negative scheduling stride")
+	case c.SchedStride < 0 || c.SchedStride > multispec.MaxStride:
+		return fmt.Errorf("arch: scheduling stride %d (want 0..%d)", c.SchedStride, multispec.MaxStride)
 	case !c.LiveIn.Valid():
 		return fmt.Errorf("arch: unknown live-in mode %d", c.LiveIn)
 	}
@@ -174,13 +253,14 @@ func DefaultConfig() Config {
 func (c Config) Canonical() Config {
 	if c.SPT {
 		// Cores=2 is the classic machine spelled explicitly, and a stride
-		// of 1 is next-iteration spawning spelled explicitly; both reduce
-		// to the zero value's code path bit for bit (locked by
-		// TestMultiSpecCores2Identity), so cached artifacts are shared.
+		// the scheduler reads as 1 (any stride outside the stride policy)
+		// is next-iteration spawning; both reduce to the zero value's code
+		// path bit for bit (locked by TestMultiSpecCores2Identity), so
+		// cached artifacts are shared.
 		if c.Cores == 2 {
 			c.Cores = 0
 		}
-		if c.SchedStride == 1 {
+		if multispec.EffStride(c.Sched, c.SchedStride) == 1 {
 			c.SchedStride = 0
 		}
 		return c

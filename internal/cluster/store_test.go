@@ -345,7 +345,9 @@ func TestPipelineReadThroughKeysOnResultFields(t *testing.T) {
 	}{
 		{"Cores", func(r *client.SimulateRequest) { r.Cores = 4 }},
 		{"Sched", func(r *client.SimulateRequest) { r.Sched = "eager" }},
-		{"Stride", func(r *client.SimulateRequest) { r.Stride = 2 }},
+		{"Sched", func(r *client.SimulateRequest) { r.Sched = "stride" }},
+		// The stride counts under the stride policy only.
+		{"Stride", func(r *client.SimulateRequest) { r.Sched = "stride"; r.Stride = 2 }},
 		{"LiveIn", func(r *client.SimulateRequest) { r.LiveIn = "slice" }},
 	} {
 		mreq := req
@@ -392,8 +394,9 @@ func TestPipelineReadThroughKeysOnResultFields(t *testing.T) {
 		t.Fatalf("scale default fragmented the key space: %d computes", cp.compiles.Load())
 	}
 
-	// The key is the canonical machine, not the spelling: each of seven
-	// knobs omitted or spelled at its default, all 2^7 ways, is one result.
+	// The key is the canonical machine, not the spelling: each of eight
+	// knobs omitted or spelled at its default, all 2^8 ways, is one result.
+	// A stride outside the stride policy is a default spelling too.
 	defaults := []func(*client.SimulateRequest){
 		func(r *client.SimulateRequest) { r.Cores = 2 },
 		func(r *client.SimulateRequest) { r.Stride = 1 },
@@ -402,6 +405,7 @@ func TestPipelineReadThroughKeysOnResultFields(t *testing.T) {
 		func(r *client.SimulateRequest) { r.SRB = 1024 },
 		func(r *client.SimulateRequest) { r.Sched = "inorder" },
 		func(r *client.SimulateRequest) { r.LiveIn = "svp" },
+		func(r *client.SimulateRequest) { r.Stride = 2 },
 	}
 	before := cp.simulates.Load()
 	for mask := 0; mask < 1<<len(defaults); mask++ {
@@ -416,7 +420,7 @@ func TestPipelineReadThroughKeysOnResultFields(t *testing.T) {
 		}
 	}
 	if got := cp.simulates.Load() - before; got != 1 {
-		t.Fatalf("128 spellings of the default machine computed %d times, want 1", got)
+		t.Fatalf("256 spellings of the default machine computed %d times, want 1", got)
 	}
 
 	// A sweep's Cores and Points count only through the variants they

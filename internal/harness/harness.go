@@ -666,23 +666,9 @@ func Table1(cfg arch.Config) [][2]string {
 		{"RF copy overhead", fmt.Sprintf("%d cycle minimum", cfg.RFCopyCycles)},
 		{"Fast commit overhead", fmt.Sprintf("%d cycles minimum", cfg.FastCommitCycles)},
 		{"Speculation result buffer size", fmt.Sprintf("%d entries", cfg.SRBSize)},
-		{"Misspeculation recovery", recoveryName(cfg.Recovery)},
-		{"Register dependence checking", regCheckName(cfg.RegCheck)},
+		{"Misspeculation recovery", cfg.Recovery.Describe()},
+		{"Register dependence checking", cfg.RegCheck.Describe()},
 	}
-}
-
-func recoveryName(r arch.RecoveryKind) string {
-	if r == arch.RecoverySquash {
-		return "full squash"
-	}
-	return "selective re-execution with fast-commit (SRX+FC)"
-}
-
-func regCheckName(r arch.RegCheckKind) string {
-	if r == arch.RegCheckUpdate {
-		return "update-based"
-	}
-	return "value-based"
 }
 
 // ---- Ablations / configuration sweeps ----
@@ -784,7 +770,7 @@ func RecoveryVariants() []Variant {
 	for _, rec := range []arch.RecoveryKind{arch.RecoverySRXFC, arch.RecoverySquash} {
 		cfg := arch.DefaultConfig()
 		cfg.Recovery = rec
-		vs = append(vs, Variant{Label: recoveryName(rec), Config: cfg})
+		vs = append(vs, Variant{Label: rec.Describe(), Config: cfg})
 	}
 	return vs
 }
@@ -795,7 +781,7 @@ func RegCheckVariants() []Variant {
 	for _, rc := range []arch.RegCheckKind{arch.RegCheckValue, arch.RegCheckUpdate} {
 		cfg := arch.DefaultConfig()
 		cfg.RegCheck = rc
-		vs = append(vs, Variant{Label: regCheckName(rc), Config: cfg})
+		vs = append(vs, Variant{Label: rc.Describe(), Config: cfg})
 	}
 	return vs
 }
@@ -859,7 +845,6 @@ func SchedVariants(cores int, strides []int) []Variant {
 		mk(fmt.Sprintf("cores=%d %s", cores, multispec.SchedInOrder), func(*arch.Config) {}),
 	}
 	for _, k := range strides {
-		k := k
 		vs = append(vs, mk(fmt.Sprintf("cores=%d stride=%d", cores, k), func(c *arch.Config) {
 			c.Sched = multispec.SchedStride
 			c.SchedStride = k

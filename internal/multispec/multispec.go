@@ -21,15 +21,18 @@
 //     (counters.go), surfaced via /metrics.
 package multispec
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 // MaxCores bounds Config.Cores: beyond this the simulated commit chain
 // stops resembling any buildable CMP and scan costs dominate.
 const MaxCores = 64
 
-// maxStride bounds the stride-K lookahead; larger strides never find their
+// MaxStride bounds Config.SchedStride: larger strides never find their
 // start-point inside a realistic lookahead window anyway.
-const maxStride = 64
+const MaxStride = 64
 
 // PolicyKind selects the spec-thread scheduling policy.
 type PolicyKind uint8
@@ -46,39 +49,7 @@ const (
 	// a committing window squashes every in-flight successor, restarting
 	// speculation from the repaired architectural state.
 	SchedEager
-
-	numPolicies // sentinel
 )
-
-// Valid reports whether k names a defined policy.
-func (k PolicyKind) Valid() bool { return k < numPolicies }
-
-// String returns the wire name of the policy.
-func (k PolicyKind) String() string {
-	switch k {
-	case SchedInOrder:
-		return "inorder"
-	case SchedStride:
-		return "stride"
-	case SchedEager:
-		return "eager"
-	}
-	return fmt.Sprintf("policy(%d)", uint8(k))
-}
-
-// ParsePolicy maps a wire name onto its PolicyKind. The empty string is
-// the in-order default.
-func ParsePolicy(s string) (PolicyKind, error) {
-	switch s {
-	case "", "inorder":
-		return SchedInOrder, nil
-	case "stride":
-		return SchedStride, nil
-	case "eager":
-		return SchedEager, nil
-	}
-	return SchedInOrder, fmt.Errorf("multispec: bad policy %q (want inorder | stride | eager)", s)
-}
 
 // LiveInMode selects how a spawned thread's live-in registers are fed.
 type LiveInMode uint8
@@ -91,34 +62,56 @@ const (
 	// thread spawn: covered registers are recomputed and never violate, at
 	// the cost of the slice's latency added to the fork overhead.
 	LiveInSlice
-
-	numLiveIn // sentinel
 )
 
+// The wire names, indexed by kind. Index 0 is the default, which the
+// empty string also selects.
+var (
+	policyNames = [...]string{SchedInOrder: "inorder", SchedStride: "stride", SchedEager: "eager"}
+	liveInNames = [...]string{LiveInSVP: "svp", LiveInSlice: "slice"}
+)
+
+// Valid reports whether k names a defined policy.
+func (k PolicyKind) Valid() bool { return int(k) < len(policyNames) }
+
+// String returns the wire name of the policy.
+func (k PolicyKind) String() string { return wireName(policyNames[:], "policy", k) }
+
+// ParsePolicy maps a wire name onto its PolicyKind. The empty string is
+// the in-order default.
+func ParsePolicy(s string) (PolicyKind, error) {
+	return parseWire[PolicyKind](policyNames[:], "policy", s)
+}
+
 // Valid reports whether m names a defined mode.
-func (m LiveInMode) Valid() bool { return m < numLiveIn }
+func (m LiveInMode) Valid() bool { return int(m) < len(liveInNames) }
 
 // String returns the wire name of the mode.
-func (m LiveInMode) String() string {
-	switch m {
-	case LiveInSVP:
-		return "svp"
-	case LiveInSlice:
-		return "slice"
-	}
-	return fmt.Sprintf("livein(%d)", uint8(m))
-}
+func (m LiveInMode) String() string { return wireName(liveInNames[:], "livein", m) }
 
 // ParseLiveIn maps a wire name onto its LiveInMode. The empty string is
 // the SVP default.
 func ParseLiveIn(s string) (LiveInMode, error) {
-	switch s {
-	case "", "svp":
-		return LiveInSVP, nil
-	case "slice":
-		return LiveInSlice, nil
+	return parseWire[LiveInMode](liveInNames[:], "livein", s)
+}
+
+func wireName[K ~uint8](names []string, what string, k K) string {
+	if int(k) < len(names) {
+		return names[k]
 	}
-	return LiveInSVP, fmt.Errorf("multispec: bad live-in mode %q (want svp | slice)", s)
+	return fmt.Sprintf("%s(%d)", what, k)
+}
+
+func parseWire[K ~uint8](names []string, what, s string) (K, error) {
+	if s == "" {
+		return 0, nil
+	}
+	for k, n := range names {
+		if n == s {
+			return K(k), nil
+		}
+	}
+	return 0, fmt.Errorf("multispec: bad %s %q (want %s)", what, s, strings.Join(names, " | "))
 }
 
 // Scheduler is the resolved spawn policy of one simulation: pure decision
@@ -130,19 +123,24 @@ type Scheduler struct {
 }
 
 // NewScheduler normalizes the configured policy: zero cores mean the
-// classic 2-core machine and a zero or sub-unit stride means next-iteration
-// spawning. Validation of out-of-range values happens in arch.Config.
+// classic 2-core machine, and the stride is EffStride's. Validation of
+// out-of-range values happens in arch.Config.
 func NewScheduler(kind PolicyKind, cores, stride int) Scheduler {
 	if cores <= 0 {
 		cores = 2
 	}
+	return Scheduler{Kind: kind, Cores: cores, StrideN: EffStride(kind, stride)}
+}
+
+// EffStride returns the iteration lookahead a spawn under policy kind
+// targets: the configured stride under SchedStride, and next-iteration (1)
+// for a zero stride or any other policy. arch.Config.Canonical folds by
+// it, so a machine's identity and its scheduler cannot disagree.
+func EffStride(kind PolicyKind, stride int) int {
 	if stride < 1 || kind != SchedStride {
-		stride = 1
+		return 1
 	}
-	if stride > maxStride {
-		stride = maxStride
-	}
-	return Scheduler{Kind: kind, Cores: cores, StrideN: stride}
+	return stride
 }
 
 // SpecCores returns the number of speculative cores (total minus main).

@@ -54,9 +54,9 @@ func TestSchedulerNormalization(t *testing.T) {
 	if s.Stride() != 1 {
 		t.Errorf("zero stride normalized to %d, want 1", s.Stride())
 	}
-	s = NewScheduler(SchedStride, 4, maxStride+100)
-	if s.Stride() != maxStride {
-		t.Errorf("oversized stride clamped to %d, want %d", s.Stride(), maxStride)
+	s = NewScheduler(SchedStride, 4, MaxStride)
+	if s.Stride() != MaxStride {
+		t.Errorf("largest valid stride normalized to %d, want %d", s.Stride(), MaxStride)
 	}
 	if !NewScheduler(SchedEager, 8, 0).EagerSquash() {
 		t.Error("eager policy must eager-squash")

@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 
@@ -212,112 +213,67 @@ func ValidateBenchmark(name string) error {
 }
 
 // ConfigFromRequest maps a simulate request's knobs onto the Table 1
-// default machine configuration. Invalid knob values are client errors.
+// default machine configuration: a zero knob keeps the default, and any
+// other value is set and left to arch.Config.Validate, the one admission
+// rule. Invalid knob values are client errors.
 func ConfigFromRequest(req client.SimulateRequest) (arch.Config, error) {
 	cfg := arch.DefaultConfig()
-	switch req.Recovery {
-	case "", "srxfc":
-		cfg.Recovery = arch.RecoverySRXFC
-	case "squash":
-		cfg.Recovery = arch.RecoverySquash
-	default:
-		return cfg, fmt.Errorf("bad recovery %q (want srxfc | squash)", req.Recovery)
-	}
-	switch req.RegCheck {
-	case "", "value":
-		cfg.RegCheck = arch.RegCheckValue
-	case "update":
-		cfg.RegCheck = arch.RegCheckUpdate
-	default:
-		return cfg, fmt.Errorf("bad regcheck %q (want value | update)", req.RegCheck)
-	}
-	if req.SRB > 0 {
+	var errs [4]error
+	cfg.Recovery, errs[0] = arch.ParseRecovery(req.Recovery)
+	cfg.RegCheck, errs[1] = arch.ParseRegCheck(req.RegCheck)
+	cfg.Sched, errs[2] = multispec.ParsePolicy(req.Sched)
+	cfg.LiveIn, errs[3] = multispec.ParseLiveIn(req.LiveIn)
+	if req.SRB != 0 {
 		cfg.SRBSize = req.SRB
 	}
-	if req.Cores > 0 {
-		cfg.Cores = req.Cores
-	}
-	pol, err := multispec.ParsePolicy(req.Sched)
-	if err != nil {
-		return cfg, fmt.Errorf("bad sched %q (want inorder | stride | eager)", req.Sched)
-	}
-	cfg.Sched = pol
-	if req.Stride > 0 {
-		cfg.SchedStride = req.Stride
-	}
-	li, err := multispec.ParseLiveIn(req.LiveIn)
-	if err != nil {
-		return cfg, fmt.Errorf("bad livein %q (want svp | slice)", req.LiveIn)
-	}
-	cfg.LiveIn = li
-	if err := cfg.Validate(); err != nil {
+	cfg.Cores = req.Cores
+	cfg.SchedStride = req.Stride
+	if err := errors.Join(errs[:]...); err != nil {
 		return cfg, err
 	}
-	return cfg, nil
+	return cfg, cfg.Validate()
 }
 
-// sweepVariants resolves the request's sweep family.
+// sweepVariants resolves the request's sweep family. Points must be
+// positive whatever the family; every variant built is then validated as
+// a machine, so a sweep is admitted exactly when all its machines are.
 func sweepVariants(req client.SweepRequest) ([]harness.Variant, error) {
+	for _, n := range req.Points {
+		if n <= 0 {
+			return nil, fmt.Errorf("bad sweep point %d (want positive)", n)
+		}
+	}
+	points := func(defaults ...int) []int {
+		if len(req.Points) == 0 {
+			return defaults
+		}
+		return req.Points
+	}
+	var vs []harness.Variant
 	switch req.Sweep {
 	case "recovery":
-		return harness.RecoveryVariants(), nil
+		vs = harness.RecoveryVariants()
 	case "regcheck":
-		return harness.RegCheckVariants(), nil
+		vs = harness.RegCheckVariants()
 	case "srb":
-		pts := req.Points
-		if len(pts) == 0 {
-			pts = []int{16, 64, 256, 1024}
-		}
-		for _, n := range pts {
-			if n <= 0 {
-				return nil, fmt.Errorf("bad srb size %d", n)
-			}
-		}
-		return harness.SRBVariants(pts), nil
+		vs = harness.SRBVariants(points(16, 64, 256, 1024))
 	case "overhead":
-		pts := req.Points
-		if len(pts) == 0 {
-			pts = []int{1, 4, 16}
-		}
-		for _, n := range pts {
-			if n <= 0 {
-				return nil, fmt.Errorf("bad overhead cycles %d", n)
-			}
-		}
-		return harness.OverheadVariants(pts), nil
+		vs = harness.OverheadVariants(points(1, 4, 16))
 	case "cores":
-		pts := req.Points
-		if len(pts) == 0 {
-			pts = []int{2, 4, 8}
-		}
-		for _, n := range pts {
-			if n < 2 || n > multispec.MaxCores {
-				return nil, fmt.Errorf("bad core count %d (want 2..%d)", n, multispec.MaxCores)
-			}
-		}
-		return harness.CoresVariants(pts), nil
+		vs = harness.CoresVariants(points(2, 4, 8))
 	case "sched":
-		pts := req.Points
-		if len(pts) == 0 {
-			pts = []int{2, 4}
-		}
-		for _, n := range pts {
-			if n <= 0 {
-				return nil, fmt.Errorf("bad stride %d", n)
-			}
-		}
-		if req.Cores < 0 || req.Cores == 1 || req.Cores > multispec.MaxCores {
-			return nil, fmt.Errorf("bad core count %d (want 2..%d)", req.Cores, multispec.MaxCores)
-		}
-		return harness.SchedVariants(req.Cores, pts), nil
+		vs = harness.SchedVariants(req.Cores, points(2, 4))
 	case "livein":
-		if req.Cores < 0 || req.Cores == 1 || req.Cores > multispec.MaxCores {
-			return nil, fmt.Errorf("bad core count %d (want 2..%d)", req.Cores, multispec.MaxCores)
-		}
-		return harness.LiveInVariants(req.Cores), nil
+		vs = harness.LiveInVariants(req.Cores)
 	default:
 		return nil, fmt.Errorf("bad sweep %q (want recovery | regcheck | srb | overhead | cores | sched | livein)", req.Sweep)
 	}
+	for _, v := range vs {
+		if err := v.Config.Validate(); err != nil {
+			return nil, fmt.Errorf("sweep variant %q: %w", v.Label, err)
+		}
+	}
+	return vs, nil
 }
 
 // Summarize flattens run statistics onto the wire shape. The sptbench load

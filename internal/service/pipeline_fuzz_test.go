@@ -1,11 +1,14 @@
 package service
 
 import (
+	"context"
 	"encoding/json"
 	"reflect"
 	"testing"
 
 	"repro/internal/arch"
+	"repro/internal/artifact"
+	"repro/internal/guard"
 	"repro/spt/client"
 )
 
@@ -103,4 +106,71 @@ func FuzzResultKey(f *testing.F) {
 			}
 		}
 	})
+}
+
+// FuzzSubmit runs every body the daemon admits as a simulate or a sweep
+// request on the real pipeline under a small budget. The invariant:
+// admission (ValidateBenchmark, then Identity) is the whole of validation,
+// so an admitted request never fails inside a worker for any reason but
+// its budget. The budget is in cycles, not steps: a step budget fails the
+// trace capture before any engine is built, which would hide a machine the
+// engines reject. Bodies run at scale 1: the program size does not enter
+// the machine, and a fuzzed scale would make one input cost minutes.
+func FuzzSubmit(f *testing.F) {
+	for _, seed := range []string{
+		`{"benchmark":"parser","sweep":"srb","points":[1048576]}`,
+		`{"benchmark":"parser","sweep":"overhead","points":[4611686018427387904]}`,
+		`{"benchmark":"parser","sched":"stride","cores":4,"stride":100}`,
+		`{"benchmark":"parser","srb":-3,"cores":-4,"stride":-2}`,
+		`{"benchmark":"mcf","sweep":"sched","cores":8,"points":[2,64]}`,
+		`{"benchmark":"parser","recovery":"squash","regcheck":"update","srb":16}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	p := &sptPipeline{cache: artifact.NewBoundedBytes(256, 128<<20)}
+	budget := guard.Budget{Cycles: 2000}
+	ctx := context.Background()
+	admitted := func(benchmark string, req any) bool {
+		_, err := Identity(req)
+		return ValidateBenchmark(benchmark) == nil && err == nil
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var sim client.SimulateRequest
+		if json.Unmarshal(body, &sim) == nil && admitted(sim.Benchmark, sim) {
+			sim.Scale = 0
+			_, err := p.Simulate(ctx, sim, budget)
+			if !budgetOnly(err) {
+				t.Fatalf("admitted simulate %s failed in the worker: %v", body, err)
+			}
+		}
+		var sweep client.SweepRequest
+		if json.Unmarshal(body, &sweep) == nil && admitted(sweep.Benchmark, sweep) {
+			sweep.Scale = 0
+			resp, err := p.Sweep(ctx, sweep, budget)
+			if !budgetOnly(err) {
+				t.Fatalf("admitted sweep %s failed in the worker: %v", body, err)
+			}
+			if resp != nil {
+				for _, r := range resp.Rows {
+					if r.Error != "" {
+						t.Fatalf("admitted sweep %s: variant %q failed: %s", body, r.Variant, r.Error)
+					}
+				}
+			}
+		}
+	})
+}
+
+// budgetOnly reports whether err is nil or consists of budget exhaustion
+// alone: a joined error counts when every part does.
+func budgetOnly(err error) bool {
+	if j, ok := err.(interface{ Unwrap() []error }); ok {
+		for _, e := range j.Unwrap() {
+			if !budgetOnly(e) {
+				return false
+			}
+		}
+		return true
+	}
+	return err == nil || guard.Exceeded(err)
 }

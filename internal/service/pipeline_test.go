@@ -40,6 +40,8 @@ func TestConfigFromRequestMultiSpec(t *testing.T) {
 		{Benchmark: "parser", Cores: multispec.MaxCores + 1},
 		{Benchmark: "parser", Sched: "psychic"},
 		{Benchmark: "parser", LiveIn: "prophecy"},
+		{Benchmark: "parser", Recovery: "warp"},
+		{Benchmark: "parser", RegCheck: "psychic"},
 	} {
 		if _, err := ConfigFromRequest(bad); err == nil {
 			t.Errorf("request %+v accepted; want an error", bad)
@@ -127,9 +129,11 @@ func TestSweepRowsPartialFailure(t *testing.T) {
 // reaches the store key. It walks every leaf field of arch.Config, nested
 // cache levels included, and gives each a valid non-default value, one at
 // a time. The machine identity must change exactly when Canonical tells
-// the two machines apart. From the Table 1 machine every field must count;
-// from the baseline machine the speculation knobs that Canonical folds
-// away must not. A field of a kind the walk cannot vary fails the test.
+// the two machines apart. From the Table 1 machine every field but the
+// stride must count, and the stride must not: only the stride policy reads
+// it. From a 4-core stride-policy machine every field must count. From the
+// baseline machine the speculation knobs that Canonical folds away must
+// not. A field of a kind the walk cannot vary fails the test.
 func TestIdentityCoversEveryConfigField(t *testing.T) {
 	var leaves [][]int
 	var collect func(typ reflect.Type, prefix []int)
@@ -145,18 +149,23 @@ func TestIdentityCoversEveryConfigField(t *testing.T) {
 	}
 	collect(reflect.TypeOf(arch.Config{}), nil)
 
+	strideMachine := arch.DefaultConfig()
+	strideMachine.Cores, strideMachine.Sched = 4, multispec.SchedStride
 	for _, base := range []struct {
 		name     string
 		cfg      arch.Config
 		allCount bool
+		folded   string // the one field that must not count, if any
 	}{
-		{"default", arch.DefaultConfig(), true},
-		{"baseline", arch.BaselineConfig(), false},
+		{"default", arch.DefaultConfig(), true, "SchedStride"},
+		{"stride", strideMachine, true, ""},
+		{"baseline", arch.BaselineConfig(), false, ""},
 	} {
 		for _, idx := range leaves {
 			mut := base.cfg
 			field := reflect.ValueOf(&mut).Elem().FieldByIndex(idx)
-			name := base.name + "." + fieldPath(reflect.TypeOf(mut), idx)
+			path := fieldPath(reflect.TypeOf(mut), idx)
+			name := base.name + "." + path
 			if !setNonDefault(t, name, field, &mut) {
 				t.Errorf("%s: no valid non-default value found", name)
 				continue
@@ -166,8 +175,8 @@ func TestIdentityCoversEveryConfigField(t *testing.T) {
 			if sameID != sameMachine {
 				t.Errorf("%s: identity equal = %v, canonical machines equal = %v", name, sameID, sameMachine)
 			}
-			if base.allCount && sameID {
-				t.Errorf("%s: changing the field left the Table 1 machine's identity unchanged", name)
+			if want := path == base.folded; base.allCount && sameID != want {
+				t.Errorf("%s: identity unchanged = %v, want %v", name, sameID, want)
 			}
 		}
 	}
@@ -211,17 +220,44 @@ func setNonDefault(t *testing.T, name string, field reflect.Value, cfg *arch.Con
 }
 
 // TestIdentityRejectsWhatThePipelineRejects: a request with no valid
-// machine has no identity, and the three kinds never share one.
+// machine has no identity, requests that build one machine share one, and
+// the three kinds never share one.
 func TestIdentityRejectsWhatThePipelineRejects(t *testing.T) {
 	for _, bad := range []any{
 		client.SimulateRequest{Benchmark: "parser", Cores: 1},
 		client.SimulateRequest{Benchmark: "parser", SRB: 1 << 20},
+		client.SimulateRequest{Benchmark: "parser", SRB: -3},
+		client.SimulateRequest{Benchmark: "parser", Cores: -4},
+		client.SimulateRequest{Benchmark: "parser", Sched: "stride", Cores: 4, Stride: -2},
+		client.SimulateRequest{Benchmark: "parser", Sched: "stride", Cores: 4, Stride: 100},
 		client.SweepRequest{Benchmark: "parser", Sweep: "fastest"},
 		client.SweepRequest{Benchmark: "parser", Sweep: "srb", Points: []int{0}},
+		client.SweepRequest{Benchmark: "parser", Sweep: "srb", Points: []int{1 << 20}},
+		client.SweepRequest{Benchmark: "parser", Sweep: "overhead", Points: []int{1 << 62}},
+		client.SweepRequest{Benchmark: "parser", Sweep: "sched", Cores: -4},
 		client.JobRequest{},
 	} {
 		if id, err := Identity(bad); err == nil {
 			t.Errorf("%T %+v got identity %q; want an error", bad, bad, id)
+		}
+	}
+	for _, pair := range []struct {
+		a, b client.SimulateRequest
+		same bool
+	}{
+		{client.SimulateRequest{Benchmark: "parser", Stride: 2}, client.SimulateRequest{Benchmark: "parser"}, true},
+		{client.SimulateRequest{Benchmark: "parser", Sched: "eager", Cores: 4, Stride: 64},
+			client.SimulateRequest{Benchmark: "parser", Sched: "eager", Cores: 4}, true},
+		{client.SimulateRequest{Benchmark: "parser", Sched: "stride", Cores: 4, Stride: 1},
+			client.SimulateRequest{Benchmark: "parser", Sched: "stride", Cores: 4}, true},
+		{client.SimulateRequest{Benchmark: "parser", Sched: "stride", Cores: 4, Stride: 2},
+			client.SimulateRequest{Benchmark: "parser", Sched: "stride", Cores: 4, Stride: 3}, false},
+	} {
+		a, aerr := Identity(pair.a)
+		b, berr := Identity(pair.b)
+		if aerr != nil || berr != nil || (a == b) != pair.same {
+			t.Errorf("%+v vs %+v: identities %q, %q (errors %v, %v); want equal = %v",
+				pair.a, pair.b, a, b, aerr, berr, pair.same)
 		}
 	}
 	ids := map[string]bool{}

@@ -382,6 +382,10 @@ func TestBadRequestsAreRejectedAtAdmission(t *testing.T) {
 		{"/v1/simulate", `{"benchmark":"parser","livein":"prophecy"}`},
 		{"/v1/sweep", `{"benchmark":"parser","sweep":"cores","points":[1]}`},
 		{"/v1/sweep", `{"benchmark":"parser","sweep":"sched","cores":1}`},
+		{"/v1/sweep", `{"benchmark":"parser","sweep":"srb","points":[1048576]}`},
+		{"/v1/sweep", `{"benchmark":"parser","sweep":"overhead","points":[4611686018427387904]}`},
+		{"/v1/simulate", `{"benchmark":"parser","sched":"stride","cores":4,"stride":100}`},
+		{"/v1/simulate", `{"benchmark":"parser","srb":-3}`},
 	}
 	for _, tc := range cases {
 		resp, err := http.Post(ts.URL+tc.path, "application/json", strings.NewReader(tc.body))

@@ -67,21 +67,26 @@ type CompileResponse struct {
 }
 
 // SimulateRequest asks for a baseline + SPT evaluation of one benchmark.
-// The configuration knobs mirror the sptsim flags; zero values mean the
-// Table 1 defaults.
+// The configuration knobs mirror the sptsim flags. A zero knob means the
+// Table 1 default; any other value is set on the machine, and a request
+// whose machine fails validation is rejected with 400 at admission.
 type SimulateRequest struct {
 	Benchmark string `json:"benchmark"`
 	Scale     int    `json:"scale,omitempty"`    // default 1
-	Recovery  string `json:"recovery,omitempty"` // "srxfc" | "squash"
-	RegCheck  string `json:"regcheck,omitempty"` // "value" | "update"
-	SRB       int    `json:"srb,omitempty"`      // speculation result buffer entries
+	Recovery  string `json:"recovery,omitempty"` // srxfc (default) | squash
+	RegCheck  string `json:"regcheck,omitempty"` // value (default) | update
+	// SRB is the speculation result buffer size in entries (default 1024;
+	// it must be positive and below the 16384-event lookahead window).
+	SRB int `json:"srb,omitempty"`
 	// Cores is the total CMP core count (0 and 2 are the classic paper
-	// machine; 3+ enables chained multi-threaded speculation).
+	// machine; 3..64 enable chained multi-threaded speculation).
 	Cores int `json:"cores,omitempty"`
 	// Sched selects the spec-thread scheduling policy:
 	// "inorder" | "stride" | "eager" (default inorder).
 	Sched string `json:"sched,omitempty"`
-	// Stride is the iteration lookahead per spawn for Sched "stride".
+	// Stride is the iteration lookahead per spawn, at most 64 (0 and 1
+	// are the next iteration). It counts only under Sched "stride": the
+	// other policies ignore it, so it does not enter their result key.
 	Stride int `json:"stride,omitempty"`
 	// LiveIn selects live-in delivery: "svp" | "slice" (default svp).
 	LiveIn string `json:"livein,omitempty"`
@@ -124,7 +129,8 @@ type SweepRequest struct {
 	Sweep string `json:"sweep"`
 	// Points parameterizes "srb" (buffer sizes), "overhead" (RF-copy
 	// cycles), "cores" (core counts) and "sched" (strides); ignored by the
-	// fixed-variant sweeps.
+	// fixed-variant sweeps. Points must be positive, and a sweep is
+	// admitted only when every variant machine it builds validates.
 	Points []int `json:"points,omitempty"`
 	// Cores fixes the core count for the "sched" and "livein" families
 	// (default 4); ignored elsewhere.
