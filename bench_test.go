@@ -532,8 +532,7 @@ func BenchmarkRecordingMiss(b *testing.B) {
 	run(-1) // build, compile and simulate the baselines once
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
-	gc0, miss0 := ms.NumGC, cache.Stats().RecordingMisses
-	alloc0, reuse0 := trace.ChunkCounts()
+	gc0, st0 := ms.NumGC, cache.Stats()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		run(i)
@@ -541,8 +540,8 @@ func BenchmarkRecordingMiss(b *testing.B) {
 	b.StopTimer()
 	runtime.ReadMemStats(&ms)
 	b.ReportMetric(float64(ms.NumGC-gc0)/float64(b.N), "gc/op")
-	b.ReportMetric(float64(cache.Stats().RecordingMisses-miss0)/float64(b.N), "misses/op")
-	alloc1, reuse1 := trace.ChunkCounts()
-	b.ReportMetric(float64(alloc1-alloc0)/float64(b.N), "chunks_new/op")
-	b.ReportMetric(float64(reuse1-reuse0)/float64(b.N), "chunks_reused/op")
+	st1 := cache.Stats()
+	b.ReportMetric(float64(st1.RecordingMisses-st0.RecordingMisses)/float64(b.N), "misses/op")
+	b.ReportMetric(float64(st1.ChunksAllocated-st0.ChunksAllocated)/float64(b.N), "chunks_new/op")
+	b.ReportMetric(float64(st1.ChunksReused-st0.ChunksReused)/float64(b.N), "chunks_reused/op")
 }

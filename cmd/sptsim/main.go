@@ -126,7 +126,7 @@ func main() {
 		spt.Cycles, spt.Instrs, spt.Breakdown.Exec, spt.Breakdown.PipeStall, spt.Breakdown.DcacheStall)
 	fmt.Printf("  speedup:  %.3fx\n\n", float64(base.Cycles)/float64(spt.Cycles))
 	fmt.Printf("  windows %d  fast-commits %d (%.1f%%)  replays %d  kills %d  suppressed forks %d\n",
-		spt.Windows, spt.FastCommits, 100*spt.FastCommitRatio(), spt.Replays, spt.Kills, spt.NoForks)
+		spt.Windows, spt.FastCommits, 100*spt.FastCommitRatio(), spt.Replays, spt.Kills(), spt.NoForks)
 	fmt.Printf("  speculative instrs %d  committed %d  misspeculated %d (%.2f%%)\n",
 		spt.SpecInstrs, spt.CommittedInstr, spt.MisspecInstrs, 100*spt.MisspecRatio())
 	fmt.Printf("  speculative core utilization %.1f%%\n\n", 100*spt.SpecUtilization())

@@ -1,6 +1,7 @@
 package arch
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/compiler"
@@ -241,7 +242,7 @@ func TestForkSuppressedAtLoopExit(t *testing.T) {
 	p := buildParallelLoop(51, 10)
 	cres := compileSPT(t, p)
 	spt := simulate(t, cres.Program, DefaultConfig())
-	if spt.NoForks == 0 && spt.Kills == 0 {
+	if spt.NoForks == 0 && spt.Kills() == 0 {
 		t.Errorf("expected a suppressed or killed fork at loop exit: %+v", spt)
 	}
 }
@@ -509,6 +510,22 @@ func TestCacheStatsPlausible(t *testing.T) {
 	}
 	if rate := float64(st.Cache.L1I.Hits) / float64(tot); rate < 0.99 {
 		t.Errorf("L1I hit rate %.3f for a hot loop, want ~1", rate)
+	}
+}
+
+// TestSquashCauseNames pins the squash causes' wire names and their order,
+// which /metrics renders as the cause labels of sptd_spec_squashes_total.
+func TestSquashCauseNames(t *testing.T) {
+	var got []string
+	for c := SquashCause(0); c < NumSquashCauses; c++ {
+		got = append(got, c.String())
+	}
+	want := []string{"violation", "wrong_path", "empty", "loop_exit", "cascade", "eager"}
+	if !slices.Equal(got, want) {
+		t.Fatalf("squash causes %v; want %v", got, want)
+	}
+	if s := NumSquashCauses.String(); s != "squash(6)" {
+		t.Errorf("out-of-range cause renders as %q", s)
 	}
 }
 

@@ -117,6 +117,38 @@ func parseEnum[K ~int](names [][2]string, what, s string) (K, error) {
 	return 0, fmt.Errorf("arch: bad %s %q (want %s)", what, s, strings.Join(wire, " | "))
 }
 
+// SquashCause says why a speculative thread died without committing.
+type SquashCause int
+
+const (
+	SquashViolation SquashCause = iota // full-squash recovery discarded a violated window
+	SquashWrongPath                    // window truncated at a misspeculated branch
+	SquashEmpty                        // killed at arrival before issuing anything
+	SquashLoopExit                     // spt_kill retired the chain at loop exit
+	SquashCascade                      // successor squashed because its spawning window died
+	SquashEager                        // successor squashed by the eager-restart policy
+	NumSquashCauses
+)
+
+// squashNames are the wire names of the causes (the cause label of
+// sptd_spec_squashes_total), indexed by cause.
+var squashNames = [NumSquashCauses]string{
+	SquashViolation: "violation",
+	SquashWrongPath: "wrong_path",
+	SquashEmpty:     "empty",
+	SquashLoopExit:  "loop_exit",
+	SquashCascade:   "cascade",
+	SquashEager:     "eager",
+}
+
+// String returns the wire name of the cause.
+func (c SquashCause) String() string {
+	if c < 0 || c >= NumSquashCauses {
+		return fmt.Sprintf("squash(%d)", int(c))
+	}
+	return squashNames[c]
+}
+
 // Config is the machine configuration (Table 1).
 type Config struct {
 	SPT bool // false = plain single-core run (the baseline)
@@ -252,15 +284,18 @@ func DefaultConfig() Config {
 // whether a run completes at all.
 func (c Config) Canonical() Config {
 	if c.SPT {
-		// Cores=2 is the classic machine spelled explicitly, and a stride
-		// the scheduler reads as 1 (any stride outside the stride policy)
-		// is next-iteration spawning; both reduce to the zero value's code
-		// path bit for bit (locked by TestMultiSpecCores2Identity), so
-		// cached artifacts are shared.
+		// The machine runs the scheduler's normalized policy: Cores=2 is
+		// the classic machine spelled explicitly, a stride of 1 is
+		// next-iteration spawning, and a policy that cannot act is
+		// in-order. Each reduces to the zero value's code path bit for bit
+		// (locked by TestMultiSpecCores2Identity), so cached artifacts are
+		// shared.
+		s := multispec.NewScheduler(c.Sched, c.Cores, c.SchedStride)
+		c.Sched = s.Kind
 		if c.Cores == 2 {
 			c.Cores = 0
 		}
-		if multispec.EffStride(c.Sched, c.SchedStride) == 1 {
+		if s.StrideN == 1 {
 			c.SchedStride = 0
 		}
 		return c
@@ -354,18 +389,30 @@ type RunStats struct {
 	Windows        int64
 	FastCommits    int64
 	Replays        int64
-	Kills          int64
-	NoForks        int64 // forks suppressed (spec busy / start not found)
+	Squashes       [NumSquashCauses]int64 // threads squashed, by cause
+	NoForks        int64                  // forks suppressed (spec busy / start not found)
 	SpecInstrs     int64
 	MisspecInstrs  int64
 	CommittedInstr int64
 	SpecBusyCycles int64 // cycles the speculative cores spent executing
 
-	// Multi-core chain statistics (zero on the classic 2-core machine).
-	ChainSpawns   int64 // threads spawned by an in-flight window (not by main)
-	ChainSquashes int64 // successor threads squashed through the version chain
+	// ChainSpawns counts threads spawned by an in-flight window rather than
+	// by main (zero on the classic 2-core machine).
+	ChainSpawns int64
 
 	PerLoop map[profiler.LoopKey]*LoopStats
+}
+
+// Kills returns the number of speculative threads squashed, over every
+// cause. A window truncated at a wrong-path branch also counts as a
+// replay, so Windows == FastCommits + Replays + Kills() minus
+// Squashes[SquashWrongPath].
+func (rs *RunStats) Kills() int64 {
+	var n int64
+	for _, k := range rs.Squashes {
+		n += k
+	}
+	return n
 }
 
 // FastCommitRatio returns the overall fraction of windows that committed

@@ -252,7 +252,7 @@ func TestWrongPathStopsReplay(t *testing.T) {
 	if perWindow > 20 {
 		t.Errorf("replay did not stop at the wrong-path branch: %.1f instrs/window", perWindow)
 	}
-	if st.Kills == 0 {
+	if st.Squashes[SquashWrongPath] == 0 {
 		t.Error("wrong-path windows should be counted as killed")
 	}
 }
@@ -359,7 +359,7 @@ func TestSquashDiscardsEverything(t *testing.T) {
 	}
 	// Every violated window is squashed: misspec == all instructions of
 	// those windows.
-	if st.Kills == 0 {
+	if st.Squashes[SquashViolation] == 0 {
 		t.Error("violated windows should be killed under squash")
 	}
 }

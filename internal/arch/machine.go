@@ -296,11 +296,10 @@ func (e *engine) step() {
 		// Loop exit retires the whole chain: every in-flight thread ran
 		// down a path the loop never takes.
 		for _, s := range e.specs {
-			e.stats.Kills++
+			e.stats.Squashes[SquashLoopExit]++
 			if s.loop != nil {
 				s.loop.Kills++
 			}
-			multispec.Global.SquashLoopExit.Add(1)
 			e.freeCore(e.main.now())
 			e.releaseSpec(s)
 		}

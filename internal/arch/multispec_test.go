@@ -16,10 +16,11 @@ import (
 	"repro/internal/multispec"
 )
 
-// cores2Corners returns configuration corners whose explicit spelling
-// (Cores=2, stride=1, any policy) must reduce to the classic zero-value
-// machine bit for bit — the contract Canonical() relies on to share cached
-// artifacts between the two spellings.
+// cores2Corners returns configuration corners whose other spellings must
+// run bit for bit like them — the contract Canonical() relies on to share
+// cached artifacts between spellings. On two cores (Cores 0) that is
+// Cores=2; on every corner it is the canonical machine, which runs a
+// policy that cannot act (stride 1, eager restart on two cores) in order.
 func cores2Corners() map[string]Config {
 	mk := func(mut func(*Config)) Config {
 		c := DefaultConfig()
@@ -33,7 +34,11 @@ func cores2Corners() map[string]Config {
 		"srb=16":   mk(func(c *Config) { c.SRBSize = 16 }),
 		"eager":    mk(func(c *Config) { c.Sched = multispec.SchedEager }),
 		"stride=1": mk(func(c *Config) { c.Sched = multispec.SchedStride; c.SchedStride = 1 }),
+		"stride=0": mk(func(c *Config) { c.Sched = multispec.SchedStride }),
 		"slice":    mk(func(c *Config) { c.LiveIn = multispec.LiveInSlice }),
+
+		"cores=4/stride=1": mk(func(c *Config) { c.Cores = 4; c.Sched = multispec.SchedStride; c.SchedStride = 1 }),
+		"cores=8/stride=0": mk(func(c *Config) { c.Cores = 8; c.Sched = multispec.SchedStride }),
 	}
 }
 
@@ -41,8 +46,8 @@ func cores2Corners() map[string]Config {
 // spelled explicitly: with a single speculative core the chain never holds
 // two threads, so the spawn-in-walk, chain-SSB and inherited-violation
 // paths are structurally unreachable and the stats must match the
-// zero-value configuration exactly. Canonical() normalizes Cores 2 -> 0 on
-// the strength of this test.
+// zero-value configuration exactly. Canonical() normalizes Cores 2 -> 0,
+// and a policy that cannot act to in-order, on the strength of this test.
 func TestMultiSpecCores2Identity(t *testing.T) {
 	for _, pn := range []string{"parallel", "mostly-parallel"} {
 		p := buildParallelLoop(200, 10)
@@ -54,20 +59,30 @@ func TestMultiSpecCores2Identity(t *testing.T) {
 			t.Run(pn+"/"+name, func(t *testing.T) {
 				want, err := NewMachine(lp, cfg).Run()
 				if err != nil {
-					t.Fatalf("classic run: %v", err)
+					t.Fatalf("corner run: %v", err)
 				}
-				explicit := cfg
-				explicit.Cores = 2
-				got, err := NewMachine(lp, explicit).Run()
-				if err != nil {
-					t.Fatalf("Cores=2 run: %v", err)
+				spellings := map[string]Config{"canonical": cfg.Canonical()}
+				if cfg.Cores == 0 {
+					explicit := cfg
+					explicit.Cores = 2
+					spellings["Cores=2"] = explicit
 				}
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("Cores=2 diverges from the classic machine:\n got %+v\nwant %+v", got, want)
+				for spelling, c := range spellings {
+					got, err := NewMachine(lp, c).Run()
+					if err != nil {
+						t.Fatalf("%s run: %v", spelling, err)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s diverges from the corner:\n got %+v\nwant %+v", spelling, got, want)
+					}
 				}
-				if got.ChainSpawns != 0 || got.ChainSquashes != 0 {
+				if c := cfg.Canonical(); c.Sched == multispec.SchedEager && c.EffCores() == 2 ||
+					c.Sched == multispec.SchedStride && c.SchedStride == 0 {
+					t.Fatalf("canonical machine %+v keeps a policy that cannot act", c)
+				}
+				if chain := want.Squashes[SquashCascade] + want.Squashes[SquashEager]; cfg.Cores == 0 && (want.ChainSpawns != 0 || chain != 0) {
 					t.Fatalf("chain engaged on the 2-core machine: spawns=%d squashes=%d",
-						got.ChainSpawns, got.ChainSquashes)
+						want.ChainSpawns, chain)
 				}
 			})
 		}
@@ -179,12 +194,13 @@ func TestMultiSpecSquashIsolation(t *testing.T) {
 	if st.ChainSpawns == 0 {
 		t.Fatal("no chained spawns; squash isolation unexercised")
 	}
-	if st.ChainSquashes == 0 {
+	chain := st.Squashes[SquashCascade] + st.Squashes[SquashEager]
+	if chain == 0 {
 		t.Fatal("squash recovery retired no successors through the chain")
 	}
-	if st.ChainSquashes >= st.Windows {
+	if chain >= st.Windows {
 		t.Fatalf("every window died by cascade (%d of %d): predecessors must survive",
-			st.ChainSquashes, st.Windows)
+			chain, st.Windows)
 	}
 	if st.Windows == 0 || st.FastCommits+st.Replays == 0 {
 		t.Fatalf("machine stopped committing: %+v", st)
@@ -206,7 +222,7 @@ func TestMultiSpecSquashIsolation(t *testing.T) {
 	if !reflect.DeepEqual(e1, e2) {
 		t.Fatal("eager-restart runs diverge")
 	}
-	if e1.Replays == 0 || e1.ChainSquashes == 0 {
+	if e1.Replays == 0 || e1.Squashes[SquashEager] == 0 {
 		t.Fatalf("eager policy never fired: %+v", e1)
 	}
 }
@@ -214,8 +230,8 @@ func TestMultiSpecSquashIsolation(t *testing.T) {
 // TestRunRecordedMultiCores sends an N-core bank through the broadcast
 // replay path: every variant must return exactly the stats of its own live
 // run. Run under -race this also exercises the per-engine chain state
-// for sharing bugs (the multispec outcome counters are process-global and
-// atomic; everything else must be engine-private).
+// for sharing bugs: everything, outcome counts included, must be
+// engine-private.
 func TestRunRecordedMultiCores(t *testing.T) {
 	lp := compileParallelLoop(t, 300, 10)
 	rec, err := RecordTrace(context.Background(), lp, 0)

@@ -3,10 +3,8 @@ package arch
 import (
 	"errors"
 	"slices"
-	"sync/atomic"
 
 	"repro/internal/ir"
-	"repro/internal/multispec"
 	"repro/internal/trace"
 )
 
@@ -96,11 +94,10 @@ func (e *engine) commitWindow() {
 		// The speculative core never got going before the main thread
 		// arrived: kill it and continue normally. Successors (if any) were
 		// spawned by earlier, committed windows and stay valid.
-		e.stats.Kills++
+		e.stats.Squashes[SquashEmpty]++
 		if s.loop != nil {
 			s.loop.Kills++
 		}
-		multispec.Global.SquashEmpty.Add(1)
 		e.freeCore(arrival)
 		e.foldChainSSB(nil)
 		return
@@ -122,7 +119,7 @@ func (e *engine) commitWindow() {
 	entries = entries[:stop]
 	// Threads spawned beyond the committed region never became
 	// architectural: their fork context is wrong-path state.
-	e.squashSuccessors(entries[len(entries)-1].pos, &multispec.Global.SquashCascade)
+	e.squashSuccessors(entries[len(entries)-1].pos, SquashCascade)
 
 	e.stats.SpecInstrs += int64(len(entries))
 	if s.loop != nil {
@@ -133,14 +130,13 @@ func (e *engine) commitWindow() {
 		// Conventional recovery: discard everything; main re-executes the
 		// whole region normally from the start-point. Successors forked
 		// from the discarded window die with it.
-		e.stats.Kills++
+		e.stats.Squashes[SquashViolation]++
 		e.stats.MisspecInstrs += int64(len(entries))
 		if s.loop != nil {
 			s.loop.Kills++
 			s.loop.MisspecInstrs += int64(len(entries))
 		}
-		multispec.Global.SquashViolation.Add(1)
-		e.squashSuccessors(s.startPos-1, &multispec.Global.SquashCascade)
+		e.squashSuccessors(s.startPos-1, SquashCascade)
 		e.freeCore(arrival)
 		e.foldChainSSB(nil)
 		return
@@ -150,7 +146,7 @@ func (e *engine) commitWindow() {
 		// Eager restart: any violation retires the whole chain; speculation
 		// restarts from the repaired architectural state (the re-arm in
 		// absorb below, which fires once the chain is empty).
-		e.squashSuccessors(s.startPos-1, &multispec.Global.SquashEager)
+		e.squashSuccessors(s.startPos-1, SquashEager)
 	}
 
 	if clean {
@@ -161,7 +157,6 @@ func (e *engine) commitWindow() {
 			s.loop.FastCommits++
 			s.loop.CommittedInstr += int64(len(entries))
 		}
-		multispec.Global.CommitFast.Add(1)
 		e.main.advanceTo(arrival + int64(e.cfg.FastCommitCycles))
 		e.freeCore(e.main.now())
 		e.foldChainSSB(entries)
@@ -176,7 +171,6 @@ func (e *engine) commitWindow() {
 	if s.loop != nil {
 		s.loop.Replays++
 	}
-	multispec.Global.CommitReplay.Add(1)
 	var walked, reexec int64
 	reexecEntries := e.reexecScratch[:0]
 	for i := range entries {
@@ -204,11 +198,10 @@ func (e *engine) commitWindow() {
 	}
 	killed := entries[len(entries)-1].wrongBr
 	if killed {
-		e.stats.Kills++
+		e.stats.Squashes[SquashWrongPath]++
 		if s.loop != nil {
 			s.loop.Kills++
 		}
-		multispec.Global.SquashWrongPath.Add(1)
 	}
 	e.freeCore(e.main.now())
 	e.foldChainSSB(entries)
@@ -219,7 +212,7 @@ func (e *engine) commitWindow() {
 // beyond limit: its register copy was taken from state that never became
 // architectural. Squashing walks from the youngest end, so only a suffix
 // of the chain dies — predecessors are untouched (per-thread isolation).
-func (e *engine) squashSuccessors(limit int64, cause *atomic.Int64) {
+func (e *engine) squashSuccessors(limit int64, cause SquashCause) {
 	for len(e.specs) > 0 {
 		s := e.specs[len(e.specs)-1]
 		if s.forkPos <= limit {
@@ -227,12 +220,10 @@ func (e *engine) squashSuccessors(limit int64, cause *atomic.Int64) {
 		}
 		e.specs = e.specs[:len(e.specs)-1]
 		e.chain.Squash(s.chainID)
-		e.stats.Kills++
-		e.stats.ChainSquashes++
+		e.stats.Squashes[cause]++
 		if s.loop != nil {
 			s.loop.Kills++
 		}
-		cause.Add(1)
 		e.freeCore(e.main.now())
 		e.releaseSpec(s)
 	}

@@ -3,12 +3,13 @@
 // simulation statistics — so that sweeps revisiting the same
 // (program, configuration) point do the work exactly once.
 //
-// Programs are identified by content: Fingerprint hashes the canonical
-// disassembly, so two structurally identical programs share cache lines no
-// matter how they were produced. Simulation results are additionally keyed
-// by the canonicalized machine configuration (arch.Config.Canonical), which
-// folds away speculation parameters that cannot influence a baseline run —
-// one baseline simulation then serves a whole ablation sweep.
+// Programs are identified by content: ir.Program.Fingerprint hashes the
+// canonical disassembly, so two structurally identical programs share
+// cache lines no matter how they were produced. Simulation results are
+// additionally keyed by the canonicalized machine configuration
+// (arch.Config.Canonical), which folds away speculation parameters that
+// cannot influence a baseline run — one baseline simulation then serves a
+// whole ablation sweep.
 //
 // Concurrency: the cache is safe for concurrent use and deduplicates
 // in-flight computations (single-flight): when several goroutines request
@@ -43,27 +44,6 @@ const kindRecording = "recording"
 // bytes (trace.Recording). The cache reads the size once, at completion.
 type Sized interface {
 	CacheBytes() int64
-}
-
-// fpCache memoizes fingerprints per *ir.Program. Pipeline stages treat
-// programs as immutable once built (the compiler clones its input), so a
-// pointer identity maps to a stable hash.
-var fpCache sync.Map // *ir.Program -> string
-
-// Fingerprint returns a content hash of the program: the sha256 of its
-// canonical disassembly. It is memoized per program pointer; callers must
-// not mutate a program after fingerprinting it.
-func Fingerprint(p *ir.Program) string {
-	if p == nil {
-		return ""
-	}
-	if v, ok := fpCache.Load(p); ok {
-		return v.(string)
-	}
-	sum := sha256.Sum256([]byte(p.Disasm()))
-	fp := hex.EncodeToString(sum[:])
-	fpCache.Store(p, fp)
-	return fp
 }
 
 // key identifies one cached artifact. kind separates the namespaces;
@@ -132,6 +112,8 @@ type Cache struct {
 	freeBytes int64
 	dropped   []*trace.Recording
 
+	work Work // guarded by mu
+
 	hits      atomic.Int64
 	misses    atomic.Int64
 	evictions atomic.Int64
@@ -158,9 +140,9 @@ func (c *Cache) EnableIntegrity() {
 // checksumOf returns the sha256 of v's canonical encoding. Only value types
 // with a stable canonical form participate: simulation statistics (field
 // rendering with the per-loop map sorted) and programs (disassembly —
-// hashed fresh, NOT through the memoized Fingerprint, which would return
-// the pre-corruption hash for a mutated program). Other types report
-// ok=false and are exempt.
+// hashed fresh, NOT through the memoized ir.Program.Fingerprint, which
+// would return the pre-corruption hash for a mutated program). Other types
+// report ok=false and are exempt.
 func checksumOf(v any) (sum string, ok bool) {
 	switch t := v.(type) {
 	case *arch.RunStats:
@@ -255,6 +237,23 @@ type Stats struct {
 	RecordingMisses int64 // recording lookups that had to interpret
 	Bytes           int64 // resident bytes of Sized artifacts (recordings), running captures included
 	CaptureBytes    int64 // bytes of chunks running captures hold
+
+	Work
+}
+
+// Work tallies what the cache's own computations did: the simulation
+// batches SimulateBatch computed and the recording chunks captures took.
+type Work struct {
+	BroadcastPasses int64 // computed batches of two or more simulations, each one trace pass
+	BatchedVariants int64 // simulations those passes fed
+
+	// Speculation outcomes summed over the simulations that completed.
+	FastCommits int64
+	Replays     int64
+	Squashes    [arch.NumSquashCauses]int64
+
+	ChunksAllocated int64 // recording chunks captures allocated fresh
+	ChunksReused    int64 // recording chunks captures took from evicted recordings
 }
 
 // HitRatio returns Hits / (Hits + Misses), or 0 before any traffic.
@@ -272,7 +271,7 @@ func (c *Cache) Stats() Stats {
 	}
 	c.mu.Lock()
 	n := len(c.entries)
-	bytes, capBytes := c.curBytes, c.capBytes
+	bytes, capBytes, work := c.curBytes, c.capBytes, c.work
 	c.mu.Unlock()
 	return Stats{
 		Hits:               c.hits.Load(),
@@ -284,6 +283,7 @@ func (c *Cache) Stats() Stats {
 		RecordingMisses:    c.recMisses.Load(),
 		Bytes:              bytes,
 		CaptureBytes:       capBytes,
+		Work:               work,
 	}
 }
 
@@ -325,6 +325,7 @@ func (c *Cache) Reset() {
 	c.lru = nil
 	c.curBytes, c.capBytes = 0, 0
 	c.free, c.freeBytes = nil, 0
+	c.work = Work{}
 	c.unlock()
 	c.hits.Store(0)
 	c.misses.Store(0)
@@ -518,14 +519,14 @@ func (c *Cache) Program(name string, scale int, stage string, build func() (*ir.
 // CompileResult memoizes an SPT compilation of program p under the options
 // rendered into optsKey (any stable rendering of the compiler options).
 func (c *Cache) CompileResult(p *ir.Program, optsKey string, fn func() (*compiler.Result, error)) (*compiler.Result, error) {
-	k := key{kind: "compile", a: Fingerprint(p), b: optsKey}
+	k := key{kind: "compile", a: p.Fingerprint(), b: optsKey}
 	return cached(c, k, fn)
 }
 
 // Profile memoizes a profiling run of program p; extra distinguishes
 // profiling variants (e.g. step limits).
 func (c *Cache) Profile(p *ir.Program, extra string, fn func() (*profiler.Profile, error)) (*profiler.Profile, error) {
-	k := key{kind: "profile", a: Fingerprint(p), b: extra}
+	k := key{kind: "profile", a: p.Fingerprint(), b: extra}
 	return cached(c, k, fn)
 }
 
@@ -558,7 +559,7 @@ func (c *Cache) SimulateBatch(p *ir.Program, cfgs []arch.Config, compute func(mi
 		copy(errs, er)
 		return out, errs
 	}
-	fp := Fingerprint(p)
+	fp := p.Fingerprint()
 	keys := make([]key, len(cfgs))
 	wait := make([]*entry, len(cfgs)) // entry each index reads its result from
 	mine := map[key]*entry{}          // entries claimed by THIS call
@@ -609,6 +610,7 @@ func (c *Cache) SimulateBatch(p *ir.Program, cfgs []arch.Config, compute func(mi
 				}
 			}()
 			st, er := compute(miss)
+			c.tallyBatch(len(miss), st, er)
 			for j, i := range miss {
 				e := mine[keys[i]]
 				if j < len(st) {
@@ -636,11 +638,35 @@ func (c *Cache) SimulateBatch(p *ir.Program, cfgs []arch.Config, compute func(mi
 	return out, errs
 }
 
+// tallyBatch counts a computed batch of n simulations: one broadcast pass
+// when it fed two or more engines, and the speculation outcomes of every
+// simulation that completed.
+func (c *Cache) tallyBatch(n int, st []*arch.RunStats, er []error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	w := &c.work
+	if n > 1 {
+		w.BroadcastPasses++
+		w.BatchedVariants += int64(n)
+	}
+	for j := 0; j < n && j < len(st); j++ {
+		rs := st[j]
+		if rs == nil || (j < len(er) && er[j] != nil) {
+			continue
+		}
+		w.FastCommits += rs.FastCommits
+		w.Replays += rs.Replays
+		for k, v := range rs.Squashes {
+			w.Squashes[k] += v
+		}
+	}
+}
+
 // recordingKey identifies the recording of p captured under stepLimit (a
 // limit is part of the trace's identity: a capture that exceeds it fails,
 // and errors are never cached).
 func recordingKey(p *ir.Program, stepLimit int64) key {
-	return key{kind: kindRecording, a: Fingerprint(p), b: fmt.Sprintf("limit=%d", stepLimit)}
+	return key{kind: kindRecording, a: p.Fingerprint(), b: fmt.Sprintf("limit=%d", stepLimit)}
 }
 
 // LeaseRecording returns the captured execution trace of p under
@@ -729,17 +755,20 @@ type captureSource struct {
 func (s *captureSource) Take() *trace.Chunk {
 	c := s.c
 	c.mu.Lock()
-	if ch := c.popFreeLocked(s); ch != nil {
-		c.mu.Unlock()
-		return ch
-	}
-	s.chargeLocked(trace.ChunkBytes)
-	c.enforceCapLocked()
-	c.unlock()
-	c.mu.Lock()
 	ch := c.popFreeLocked(s)
+	if ch == nil {
+		s.chargeLocked(trace.ChunkBytes)
+		c.enforceCapLocked()
+		c.unlock()
+		c.mu.Lock()
+		if ch = c.popFreeLocked(s); ch != nil {
+			s.chargeLocked(-trace.ChunkBytes) // popFreeLocked charged its own size
+		}
+	}
 	if ch != nil {
-		s.chargeLocked(-trace.ChunkBytes) // popFreeLocked charged its own size
+		c.work.ChunksReused++
+	} else {
+		c.work.ChunksAllocated++
 	}
 	c.mu.Unlock()
 	return ch

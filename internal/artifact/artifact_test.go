@@ -35,17 +35,24 @@ func tinyProgram(imm int64) *ir.Program {
 func TestFingerprintContentIdentity(t *testing.T) {
 	a, b := tinyProgram(7), tinyProgram(7)
 	c := tinyProgram(8)
-	if Fingerprint(a) != Fingerprint(b) {
+	if a.Fingerprint() != b.Fingerprint() {
 		t.Error("structurally identical programs should share a fingerprint")
 	}
-	if Fingerprint(a) == Fingerprint(c) {
+	if a.Fingerprint() == c.Fingerprint() {
 		t.Error("different programs should not share a fingerprint")
 	}
-	if got := Fingerprint(a); got != Fingerprint(a) {
+	if got := a.Fingerprint(); got != a.Fingerprint() {
 		t.Errorf("fingerprint not stable: %s", got)
 	}
-	if Fingerprint(nil) != "" {
+	if (*ir.Program)(nil).Fingerprint() != "" {
 		t.Error("nil program should fingerprint to the empty string")
+	}
+	// A clone starts without the memo: changed before it is fingerprinted,
+	// it hashes its own content.
+	d := a.Clone()
+	d.Entry = "other"
+	if d.Fingerprint() == a.Fingerprint() {
+		t.Error("a changed clone kept its original's fingerprint")
 	}
 }
 

@@ -142,7 +142,7 @@ func TestCaptureReusesEvictedChunks(t *testing.T) {
 		t.Fatal(err)
 	}
 	first.Release() // only the cache holds it now
-	alloc0, reused0 := trace.ChunkCounts()
+	st0 := c.Stats()
 	second, err := c.LeaseRecording(tinyProgram(26), 0, func(src trace.ChunkSource) (*trace.Recording, error) {
 		return recordInto(src, n), nil
 	})
@@ -150,12 +150,16 @@ func TestCaptureReusesEvictedChunks(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer second.Release()
-	alloc1, reused1 := trace.ChunkCounts()
+	st1 := c.Stats()
 	if first.Len() != 0 {
 		t.Fatal("the evicted, unleased recording was not recycled")
 	}
-	if reused1-reused0 < 1 || alloc1-alloc0 > 1 {
-		t.Errorf("second capture allocated %d and reused %d chunks; want the evicted chunks reused", alloc1-alloc0, reused1-reused0)
+	alloc, reused := st1.ChunksAllocated-st0.ChunksAllocated, st1.ChunksReused-st0.ChunksReused
+	if reused < 1 || alloc > 1 {
+		t.Errorf("second capture allocated %d and reused %d chunks; want the evicted chunks reused", alloc, reused)
+	}
+	if st0.ChunksAllocated != 2 || st0.ChunksReused != 0 {
+		t.Errorf("first capture allocated %d and reused %d chunks; want 2 and 0", st0.ChunksAllocated, st0.ChunksReused)
 	}
 	for i, ev := range events(t, second) {
 		if ev.ID != int32(i%5) || ev.Val != int64(i)*31 {

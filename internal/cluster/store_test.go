@@ -344,8 +344,10 @@ func TestPipelineReadThroughKeysOnResultFields(t *testing.T) {
 		mut   func(*client.SimulateRequest)
 	}{
 		{"Cores", func(r *client.SimulateRequest) { r.Cores = 4 }},
-		{"Sched", func(r *client.SimulateRequest) { r.Sched = "eager" }},
-		{"Sched", func(r *client.SimulateRequest) { r.Sched = "stride" }},
+		// The policy counts where it can act: eager restart needs a
+		// successor core to squash, the stride policy a stride above 1.
+		{"Sched", func(r *client.SimulateRequest) { r.Sched = "eager"; r.Cores = 4 }},
+		{"Sched", func(r *client.SimulateRequest) { r.Sched = "stride"; r.Cores = 4; r.Stride = 3 }},
 		// The stride counts under the stride policy only.
 		{"Stride", func(r *client.SimulateRequest) { r.Sched = "stride"; r.Stride = 2 }},
 		{"LiveIn", func(r *client.SimulateRequest) { r.LiveIn = "slice" }},
@@ -421,6 +423,27 @@ func TestPipelineReadThroughKeysOnResultFields(t *testing.T) {
 	}
 	if got := cp.simulates.Load() - before; got != 1 {
 		t.Fatalf("256 spellings of the default machine computed %d times, want 1", got)
+	}
+	// A policy that cannot act spells the default machine too.
+	for _, spelled := range []client.SimulateRequest{
+		{Benchmark: "mcf", Sched: "eager"},
+		{Benchmark: "mcf", Sched: "eager", Cores: 2},
+		{Benchmark: "mcf", Sched: "stride"},
+		{Benchmark: "mcf", Sched: "stride", Stride: 1},
+	} {
+		if SimulateKey(spelled) != SimulateKey(client.SimulateRequest{Benchmark: "mcf"}) {
+			t.Errorf("%+v: store key differs from the default machine's", spelled)
+		}
+		if _, err := p.Simulate(ctx, spelled, guard.Budget{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := cp.simulates.Load() - before; got != 1 {
+		t.Fatalf("sched spellings of the default machine computed %d times in all, want 1", got)
+	}
+	if SimulateKey(client.SimulateRequest{Benchmark: "mcf", Sched: "eager", Cores: 4}) ==
+		SimulateKey(client.SimulateRequest{Benchmark: "mcf", Cores: 4}) {
+		t.Error("eager restart on 4 cores shares the in-order machine's store key")
 	}
 
 	// A sweep's Cores and Points count only through the variants they

@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/arch"
 	"repro/internal/artifact"
@@ -124,8 +123,9 @@ func baselineOf(cfg arch.Config) arch.Config {
 // reads the recording in place (arch.RunRecordedMulti). Otherwise the bank
 // rides an interpreter pass whose trace is not kept (arch.RunMulti). All
 // three are bit-identical. Engines fail individually (validation, cycle
-// budget) without aborting their siblings; a failed capture fails them
-// all.
+// budget) without aborting their siblings. A failed capture this call ran
+// reports the bank's per-engine errors; a failed capture this call joined
+// fails every engine with its error.
 func simulate(ctx context.Context, opts GuardOptions, p *ir.Program, cfgs []arch.Config) ([]*arch.RunStats, []error) {
 	stats := make([]*arch.RunStats, len(cfgs))
 	errs := make([]error, len(cfgs))
@@ -139,10 +139,6 @@ func simulate(ctx context.Context, opts GuardOptions, p *ir.Program, cfgs []arch
 	if err != nil {
 		return fail(err)
 	}
-	if len(cfgs) > 1 {
-		broadcastPasses.Add(1)
-		broadcastVariants.Add(int64(len(cfgs)))
-	}
 	if !opts.RecordTraces || opts.Artifacts == nil {
 		return arch.RunMulti(ctx, lp, cfgs)
 	}
@@ -154,29 +150,17 @@ func simulate(ctx context.Context, opts GuardOptions, p *ir.Program, cfgs []arch
 		stats, errs = st, es
 		return rec, err
 	})
+	if captured {
+		if rec != nil {
+			rec.Release()
+		}
+		return stats, errs
+	}
 	if err != nil {
 		return fail(err)
 	}
 	defer rec.Release()
-	if captured {
-		return stats, errs
-	}
 	return arch.RunRecordedMulti(ctx, lp, rec, cfgs)
-}
-
-// Broadcast telemetry: single trace passes (live, capturing or recorded)
-// that fed two or more engines, and the total engines those passes fed.
-// Exposed process-wide (BroadcastStats) so the daemon's metrics endpoint
-// can report them.
-var (
-	broadcastPasses   atomic.Int64
-	broadcastVariants atomic.Int64
-)
-
-// BroadcastStats reports how many shared trace passes batched simulations
-// have performed and how many variant engines were fed by them.
-func BroadcastStats() (passes, batchedVariants int64) {
-	return broadcastPasses.Load(), broadcastVariants.Load()
 }
 
 // GuardOptions configures the guarded evaluation pipeline.
@@ -870,11 +854,4 @@ func LiveInVariants(cores int) []Variant {
 		vs = append(vs, Variant{Label: fmt.Sprintf("cores=%d livein=%s", cores, m), Config: cfg})
 	}
 	return vs
-}
-
-// SpecOutcomes returns the process-wide per-outcome speculation counters
-// (commits by kind, squashes by cause) accumulated by every engine since
-// start-up, in a stable order for rendering.
-func SpecOutcomes() multispec.CounterSnapshot {
-	return multispec.Global.Snapshot()
 }

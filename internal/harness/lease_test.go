@@ -2,6 +2,7 @@ package harness
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"reflect"
 	"sync"
@@ -11,7 +12,6 @@ import (
 	"repro/internal/artifact"
 	"repro/internal/interp"
 	"repro/internal/ir"
-	"repro/internal/trace"
 )
 
 // TestLeasedRecordingsUnderEviction is the recycling stress test (run it
@@ -57,7 +57,6 @@ func TestLeasedRecordingsUnderEviction(t *testing.T) {
 
 	cache := artifact.NewBoundedBytes(0, biggest+biggest/4)
 	opts := GuardOptions{Artifacts: cache, RecordTraces: true}
-	_, reused0 := trace.ChunkCounts()
 	const workers, rounds = 3, 3
 	var wg sync.WaitGroup
 	errc := make(chan error, workers*rounds*len(names)*2)
@@ -87,9 +86,8 @@ func TestLeasedRecordingsUnderEviction(t *testing.T) {
 		t.Error(err)
 	}
 	st := cache.Stats()
-	_, reused1 := trace.ChunkCounts()
-	if st.Evictions == 0 || reused1 == reused0 {
-		t.Errorf("rotation evicted %d recordings and reused %d chunks; the test exercises no recycling", st.Evictions, reused1-reused0)
+	if st.Evictions == 0 || st.ChunksReused == 0 {
+		t.Errorf("rotation evicted %d recordings and reused %d chunks; the test exercises no recycling", st.Evictions, st.ChunksReused)
 	}
 	if st.CaptureBytes != 0 {
 		t.Errorf("%d capture bytes still charged after every capture finished", st.CaptureBytes)
@@ -106,4 +104,33 @@ func cores(n int) arch.Config {
 	c := arch.DefaultConfig()
 	c.Cores = n
 	return c
+}
+
+// TestFailedCaptureKeepsPerConfigErrors: a capture that fails on its step
+// limit still reports each engine's own error, exactly as a pass whose
+// trace is not kept does: the invalid machine its validation error, the
+// valid one the step limit.
+func TestFailedCaptureKeepsPerConfigErrors(t *testing.T) {
+	p, err := benchProgram(nil, "parser", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad, good := arch.DefaultConfig(), arch.DefaultConfig()
+	bad.SRBSize = 0
+	bad.StepLimit, good.StepLimit = 2000, 2000
+	cfgs := []arch.Config{bad, good}
+	ctx := context.Background()
+	_, want := simulate(ctx, GuardOptions{}, p, cfgs)
+	if want[0] == nil || want[1] == nil || want[0].Error() == want[1].Error() {
+		t.Fatalf("live pass errors %v / %v; want a validation error and a step-limit error", want[0], want[1])
+	}
+	if !errors.Is(want[1], interp.ErrStepLimit) {
+		t.Fatalf("valid machine failed with %v; want the step limit", want[1])
+	}
+	_, got := simulate(ctx, GuardOptions{Artifacts: &artifact.Cache{}, RecordTraces: true}, p, cfgs)
+	for i := range cfgs {
+		if got[i] == nil || got[i].Error() != want[i].Error() {
+			t.Errorf("config %d: capturing pass reports %v; want %v", i, got[i], want[i])
+		}
+	}
 }

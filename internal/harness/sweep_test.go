@@ -41,7 +41,6 @@ func TestSweepDeterminism(t *testing.T) {
 
 	// Parallel, cached sweep — twice, so both the cold (computing) and the
 	// warm (fully cached) paths are exercised.
-	passes0, batched0 := BroadcastStats()
 	cache := &artifact.Cache{}
 	opts := GuardOptions{Artifacts: cache}
 	for pass := 0; pass < 2; pass++ {
@@ -92,11 +91,10 @@ func TestSweepDeterminism(t *testing.T) {
 	// feeds the one deduplicated baseline engine and does not count; the SPT
 	// pass feeds the four distinct SPT engines. The warm pass is answered
 	// entirely from the cache and broadcasts nothing.
-	passes, batched := BroadcastStats()
-	if got := passes - passes0; got != 1 {
+	if got := st.BroadcastPasses; got != 1 {
 		t.Errorf("broadcast passes = %d; want 1 (the SPT stage, cold pass only)", got)
 	}
-	if got := batched - batched0; got != 4 {
+	if got := st.BatchedVariants; got != 4 {
 		t.Errorf("batched variants = %d; want 4 (the distinct SPT engines)", got)
 	}
 }

@@ -1,8 +1,11 @@
 package ir
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"strings"
+	"sync/atomic"
 )
 
 // Instr is a single IR instruction. The operand fields used depend on Op;
@@ -222,6 +225,25 @@ type Program struct {
 	Entry   string // entry function name; it takes no parameters
 
 	funcIdx map[string]int
+	fp      atomic.Pointer[string] // memoized Fingerprint; never copied
+}
+
+// Fingerprint returns a content hash of the program: the sha256 of its
+// canonical disassembly, so two structurally identical programs share one
+// fingerprint however they were produced. It is memoized on the program
+// (a clone computes its own); callers must not mutate a program after
+// fingerprinting it. A nil program has the empty fingerprint.
+func (p *Program) Fingerprint() string {
+	if p == nil {
+		return ""
+	}
+	if fp := p.fp.Load(); fp != nil {
+		return *fp
+	}
+	sum := sha256.Sum256([]byte(p.Disasm()))
+	fp := hex.EncodeToString(sum[:])
+	p.fp.Store(&fp) // racing computations store the same value
+	return fp
 }
 
 // Func returns the function with the given name, or nil.

@@ -17,8 +17,8 @@
 //     arbitration); a violation squashes only the offending thread and its
 //     successors, never a predecessor.
 //   - Planner/SlicePlan: DDG-backed live-in pre-computation (livein.go).
-//   - Counters: process-wide per-outcome commit/squash accounting
-//     (counters.go), surfaced via /metrics.
+//
+// How each speculative thread ends is counted per run, in arch.RunStats.
 package multispec
 
 import (
@@ -122,25 +122,25 @@ type Scheduler struct {
 	StrideN int // normalized iteration lookahead (>= 1)
 }
 
-// NewScheduler normalizes the configured policy: zero cores mean the
-// classic 2-core machine, and the stride is EffStride's. Validation of
+// NewScheduler normalizes the configured policy to the one the machine
+// runs: zero cores mean the classic 2-core machine; the stride is the
+// configured one under SchedStride and next-iteration (1) for a zero
+// stride or any other policy; and a policy that cannot act is in-order,
+// which is stride 1 under SchedStride and eager restart with no successor
+// core to squash (2 cores). arch.Config.Canonical folds by it, so a
+// machine's identity and its scheduler cannot disagree. Validation of
 // out-of-range values happens in arch.Config.
 func NewScheduler(kind PolicyKind, cores, stride int) Scheduler {
 	if cores <= 0 {
 		cores = 2
 	}
-	return Scheduler{Kind: kind, Cores: cores, StrideN: EffStride(kind, stride)}
-}
-
-// EffStride returns the iteration lookahead a spawn under policy kind
-// targets: the configured stride under SchedStride, and next-iteration (1)
-// for a zero stride or any other policy. arch.Config.Canonical folds by
-// it, so a machine's identity and its scheduler cannot disagree.
-func EffStride(kind PolicyKind, stride int) int {
 	if stride < 1 || kind != SchedStride {
-		return 1
+		stride = 1
 	}
-	return stride
+	if (kind == SchedStride && stride == 1) || (kind == SchedEager && cores == 2) {
+		kind = SchedInOrder
+	}
+	return Scheduler{Kind: kind, Cores: cores, StrideN: stride}
 }
 
 // SpecCores returns the number of speculative cores (total minus main).

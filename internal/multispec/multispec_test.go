@@ -61,6 +61,23 @@ func TestSchedulerNormalization(t *testing.T) {
 	if !NewScheduler(SchedEager, 8, 0).EagerSquash() {
 		t.Error("eager policy must eager-squash")
 	}
+	// A policy that cannot act is the in-order machine.
+	for _, c := range []struct {
+		kind          PolicyKind
+		cores, stride int
+		want          PolicyKind
+	}{
+		{SchedEager, 0, 0, SchedInOrder},
+		{SchedEager, 2, 5, SchedInOrder},
+		{SchedEager, 4, 0, SchedEager},
+		{SchedStride, 0, 0, SchedInOrder},
+		{SchedStride, 8, 1, SchedInOrder},
+		{SchedStride, 0, 2, SchedStride},
+	} {
+		if got := NewScheduler(c.kind, c.cores, c.stride).Kind; got != c.want {
+			t.Errorf("%s at cores=%d stride=%d runs as %s, want %s", c.kind, c.cores, c.stride, got, c.want)
+		}
+	}
 }
 
 func TestChainCommitArbitration(t *testing.T) {
@@ -108,21 +125,5 @@ func TestChainSquashCascade(t *testing.T) {
 	c.Reset()
 	if c.Len() != 0 {
 		t.Fatal("Reset left versions in flight")
-	}
-}
-
-func TestCountersSnapshotStableOrder(t *testing.T) {
-	var c Counters
-	c.CommitFast.Add(3)
-	c.SquashEager.Add(2)
-	s := c.Snapshot()
-	if len(s.Commits) != 2 || len(s.Squashes) != 6 {
-		t.Fatalf("snapshot shape %d/%d", len(s.Commits), len(s.Squashes))
-	}
-	if s.Commits[0].Cause != "fast" || s.Commits[0].N != 3 {
-		t.Errorf("commits[0] = %+v", s.Commits[0])
-	}
-	if s.Squashes[5].Cause != "eager" || s.Squashes[5].N != 2 {
-		t.Errorf("squashes[5] = %+v", s.Squashes[5])
 	}
 }

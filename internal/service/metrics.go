@@ -8,7 +8,8 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/multispec"
+	"repro/internal/arch"
+	"repro/internal/artifact"
 )
 
 // latencyBuckets are the upper bounds (seconds) of the per-stage latency
@@ -123,33 +124,18 @@ func (m *metrics) countOutcome(outcome string) {
 
 // gauges is the live server state rendered alongside the counters.
 type gauges struct {
-	uptimeSeconds    float64
-	queueDepth       int
-	queueCapacity    int
-	workers          int
-	inflight         int64
-	draining         bool
-	retryAfter       int
-	cacheHits        int64
-	cacheMisses      int64
-	cacheEntries     int
-	cacheEvictions   int64
-	cacheCorruptions int64
-	cacheHitRatio    float64
-	traceHits        int64
-	traceMisses      int64
-	traceBytes       int64
-	captureBytes     int64 // chunk bytes running captures hold
-	chunksAllocated  int64 // recording chunks allocated fresh
-	chunksReused     int64 // recording chunks taken recycled
-	gcCycles         int64 // completed GC cycles since start
+	uptimeSeconds float64
+	queueDepth    int
+	queueCapacity int
+	workers       int
+	inflight      int64
+	draining      bool
+	retryAfter    int
+	gcCycles      int64 // completed GC cycles since start
 
-	broadcastPasses int64 // single trace passes that fed two or more engines
-	batchedVariants int64 // variant engines fed by those passes
-
-	// specOutcomes is the process-wide per-outcome speculation tally of
-	// every simulation engine (commits by kind, squashes by cause).
-	specOutcomes multispec.CounterSnapshot
+	// cache is the artifact cache's snapshot: its traffic, the recordings
+	// it holds, and the simulation work it computed.
+	cache artifact.Stats
 
 	journalBytes       int64 // current journal file length (0 when no journal)
 	journalCompactions int64 // lifetime journal compactions
@@ -205,43 +191,43 @@ func (m *metrics) render(w io.Writer, g gauges) {
 	fmt.Fprintf(w, "sptd_steal_adopted_total{disposition=%q} %d\n", "pending", m.adoptedPending.Load())
 	fmt.Fprintf(w, "sptd_steal_adopted_total{disposition=%q} %d\n", "done", m.adoptedDone.Load())
 
+	c := g.cache
 	counterHead("sptd_cache_hits_total", "Artifact-cache lookups served from a completed or in-flight computation.")
-	fmt.Fprintf(w, "sptd_cache_hits_total %d\n", g.cacheHits)
+	fmt.Fprintf(w, "sptd_cache_hits_total %d\n", c.Hits)
 	counterHead("sptd_cache_misses_total", "Artifact-cache lookups that had to compute.")
-	fmt.Fprintf(w, "sptd_cache_misses_total %d\n", g.cacheMisses)
+	fmt.Fprintf(w, "sptd_cache_misses_total %d\n", c.Misses)
 	counterHead("sptd_cache_evictions_total", "Artifacts dropped by the cache's LRU bound.")
-	fmt.Fprintf(w, "sptd_cache_evictions_total %d\n", g.cacheEvictions)
+	fmt.Fprintf(w, "sptd_cache_evictions_total %d\n", c.Evictions)
 	counterHead("sptd_cache_integrity_evictions_total", "Artifacts whose checksum no longer matched at lookup; evicted and recomputed, never served.")
-	fmt.Fprintf(w, "sptd_cache_integrity_evictions_total %d\n", g.cacheCorruptions)
-	gauge("sptd_cache_entries", "Artifacts currently resident in the cache.", float64(g.cacheEntries))
-	gauge("sptd_cache_hit_ratio", "hits / (hits + misses) since start.", g.cacheHitRatio)
+	fmt.Fprintf(w, "sptd_cache_integrity_evictions_total %d\n", c.IntegrityEvictions)
+	gauge("sptd_cache_entries", "Artifacts currently resident in the cache.", float64(c.Entries))
+	gauge("sptd_cache_hit_ratio", "hits / (hits + misses) since start.", c.HitRatio())
 
 	counterHead("sptd_trace_cache_hits_total", "Simulations that replayed a shared trace recording instead of re-interpreting.")
-	fmt.Fprintf(w, "sptd_trace_cache_hits_total %d\n", g.traceHits)
+	fmt.Fprintf(w, "sptd_trace_cache_hits_total %d\n", c.RecordingHits)
 	counterHead("sptd_trace_cache_misses_total", "Trace recordings that had to interpret the program.")
-	fmt.Fprintf(w, "sptd_trace_cache_misses_total %d\n", g.traceMisses)
-	gauge("sptd_trace_cache_bytes", "Resident bytes of cached trace recordings and running captures (LRU-bounded by -cache-bytes).", float64(g.traceBytes))
-	gauge("sptd_trace_capture_bytes", "Bytes of recording chunks that running captures hold, counted in sptd_trace_cache_bytes.", float64(g.captureBytes))
-	counterHead("sptd_trace_chunks_allocated_total", "Recording chunks (about 1 MiB each) allocated fresh by captures and event windows.")
-	fmt.Fprintf(w, "sptd_trace_chunks_allocated_total %d\n", g.chunksAllocated)
-	counterHead("sptd_trace_chunks_reused_total", "Recording chunks taken recycled (from evicted recordings or event windows) instead of allocated.")
-	fmt.Fprintf(w, "sptd_trace_chunks_reused_total %d\n", g.chunksReused)
+	fmt.Fprintf(w, "sptd_trace_cache_misses_total %d\n", c.RecordingMisses)
+	gauge("sptd_trace_cache_bytes", "Resident bytes of cached trace recordings and running captures (LRU-bounded by -cache-bytes).", float64(c.Bytes))
+	gauge("sptd_trace_capture_bytes", "Bytes of recording chunks that running captures hold, counted in sptd_trace_cache_bytes.", float64(c.CaptureBytes))
+	counterHead("sptd_trace_chunks_allocated_total", "Recording chunks (about 1 MiB each) allocated fresh by captures.")
+	fmt.Fprintf(w, "sptd_trace_chunks_allocated_total %d\n", c.ChunksAllocated)
+	counterHead("sptd_trace_chunks_reused_total", "Recording chunks captures took recycled from evicted recordings instead of allocating.")
+	fmt.Fprintf(w, "sptd_trace_chunks_reused_total %d\n", c.ChunksReused)
 	counterHead("sptd_go_gc_cycles_total", "Completed garbage collection cycles of the daemon process.")
 	fmt.Fprintf(w, "sptd_go_gc_cycles_total %d\n", g.gcCycles)
 
-	counterHead("sptd_spec_commits_total", "Speculative windows committed by the simulation engines since start, by commit kind.")
-	for _, c := range g.specOutcomes.Commits {
-		fmt.Fprintf(w, "sptd_spec_commits_total{kind=%q} %d\n", c.Cause, c.N)
-	}
-	counterHead("sptd_spec_squashes_total", "Speculative threads squashed by the simulation engines since start, by cause.")
-	for _, c := range g.specOutcomes.Squashes {
-		fmt.Fprintf(w, "sptd_spec_squashes_total{cause=%q} %d\n", c.Cause, c.N)
+	counterHead("sptd_spec_commits_total", "Speculative windows committed by the simulations this daemon completed, by commit kind.")
+	fmt.Fprintf(w, "sptd_spec_commits_total{kind=%q} %d\n", "fast", c.FastCommits)
+	fmt.Fprintf(w, "sptd_spec_commits_total{kind=%q} %d\n", "replay", c.Replays)
+	counterHead("sptd_spec_squashes_total", "Speculative threads squashed in the simulations this daemon completed, by cause.")
+	for cause, n := range c.Squashes {
+		fmt.Fprintf(w, "sptd_spec_squashes_total{cause=%q} %d\n", arch.SquashCause(cause), n)
 	}
 
 	counterHead("sptd_sweep_broadcast_passes_total", "Single trace passes (live, capturing or recorded) that fed a batch of two or more variant engines.")
-	fmt.Fprintf(w, "sptd_sweep_broadcast_passes_total %d\n", g.broadcastPasses)
+	fmt.Fprintf(w, "sptd_sweep_broadcast_passes_total %d\n", c.BroadcastPasses)
 	counterHead("sptd_sweep_batched_variants_total", "Variant engines fed by shared trace passes instead of passes of their own.")
-	fmt.Fprintf(w, "sptd_sweep_batched_variants_total %d\n", g.batchedVariants)
+	fmt.Fprintf(w, "sptd_sweep_batched_variants_total %d\n", c.BatchedVariants)
 
 	fmt.Fprintf(w, "# HELP sptd_stage_latency_seconds Wall-clock latency of finished jobs by stage.\n")
 	fmt.Fprintf(w, "# TYPE sptd_stage_latency_seconds histogram\n")

@@ -47,7 +47,7 @@ func (p *sptPipeline) Compile(ctx context.Context, req client.CompileRequest, bu
 		resp = &client.CompileResponse{
 			Benchmark:   req.Benchmark,
 			Scale:       ScaleOf(req.Scale),
-			Fingerprint: artifact.Fingerprint(cres.Program),
+			Fingerprint: cres.Program.Fingerprint(),
 		}
 		for _, l := range cres.Loops {
 			resp.Loops = append(resp.Loops, client.LoopSummary{
@@ -293,7 +293,7 @@ func Summarize(rs *arch.RunStats) client.SimSummary {
 		Windows:        rs.Windows,
 		FastCommits:    rs.FastCommits,
 		Replays:        rs.Replays,
-		Kills:          rs.Kills,
+		Kills:          rs.Kills(),
 		SpecInstrs:     rs.SpecInstrs,
 		MisspecInstrs:  rs.MisspecInstrs,
 		CommittedInstr: rs.CommittedInstr,

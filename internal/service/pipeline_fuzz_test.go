@@ -72,6 +72,8 @@ func FuzzResultKey(f *testing.F) {
 		{`{"benchmark":"parser"}`, `{"benchmark":"parser","cores":2,"stride":1,"srb":1024,"sched":"inorder","livein":"svp"}`},
 		{`{"benchmark":"parser","recovery":"srxfc","regcheck":"value"}`, `{"benchmark":"parser","scale":1}`},
 		{`{"benchmark":"gap","cores":4,"sched":"stride","stride":2}`, `{"benchmark":"gap","recovery":"squash","scale":2}`},
+		{`{"benchmark":"parser","sched":"eager"}`, `{"benchmark":"parser","sched":"stride","stride":1}`},
+		{`{"benchmark":"parser","sched":"stride"}`, `{"benchmark":"parser","sched":"eager","cores":4}`},
 		{`{"benchmark":"parser","sweep":"srb"}`, `{"benchmark":"parser","sweep":"srb","cores":4,"points":[16,64,256,1024]}`},
 		{`{"benchmark":"mcf","sweep":"livein"}`, `{"benchmark":"mcf","sweep":"livein","cores":4}`},
 		{`{"benchmark":"mcf","sweep":"sched","cores":8,"points":[2]}`, `{"benchmark":"mcf","sweep":"cores","points":[2,4,8]}`},

@@ -3,6 +3,7 @@ package service
 import (
 	"errors"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -130,8 +131,10 @@ func TestSweepRowsPartialFailure(t *testing.T) {
 // cache levels included, and gives each a valid non-default value, one at
 // a time. The machine identity must change exactly when Canonical tells
 // the two machines apart. From the Table 1 machine every field but the
-// stride must count, and the stride must not: only the stride policy reads
-// it. From a 4-core stride-policy machine every field must count. From the
+// policy and the stride must count, and those two must not: only the
+// stride policy reads the stride, and on two cores neither the stride nor
+// the eager policy can act. From a 4-core stride-policy machine every
+// field must count. From the
 // baseline machine the speculation knobs that Canonical folds away must
 // not. A field of a kind the walk cannot vary fails the test.
 func TestIdentityCoversEveryConfigField(t *testing.T) {
@@ -155,11 +158,11 @@ func TestIdentityCoversEveryConfigField(t *testing.T) {
 		name     string
 		cfg      arch.Config
 		allCount bool
-		folded   string // the one field that must not count, if any
+		folded   []string // the fields that must not count
 	}{
-		{"default", arch.DefaultConfig(), true, "SchedStride"},
-		{"stride", strideMachine, true, ""},
-		{"baseline", arch.BaselineConfig(), false, ""},
+		{"default", arch.DefaultConfig(), true, []string{"Sched", "SchedStride"}},
+		{"stride", strideMachine, true, nil},
+		{"baseline", arch.BaselineConfig(), false, nil},
 	} {
 		for _, idx := range leaves {
 			mut := base.cfg
@@ -175,7 +178,7 @@ func TestIdentityCoversEveryConfigField(t *testing.T) {
 			if sameID != sameMachine {
 				t.Errorf("%s: identity equal = %v, canonical machines equal = %v", name, sameID, sameMachine)
 			}
-			if want := path == base.folded; base.allCount && sameID != want {
+			if want := slices.Contains(base.folded, path); base.allCount && sameID != want {
 				t.Errorf("%s: identity unchanged = %v, want %v", name, sameID, want)
 			}
 		}
@@ -246,6 +249,12 @@ func TestIdentityRejectsWhatThePipelineRejects(t *testing.T) {
 		same bool
 	}{
 		{client.SimulateRequest{Benchmark: "parser", Stride: 2}, client.SimulateRequest{Benchmark: "parser"}, true},
+		// A policy that cannot act is the in-order machine.
+		{client.SimulateRequest{Benchmark: "parser", Sched: "eager"}, client.SimulateRequest{Benchmark: "parser"}, true},
+		{client.SimulateRequest{Benchmark: "parser", Sched: "stride"}, client.SimulateRequest{Benchmark: "parser"}, true},
+		{client.SimulateRequest{Benchmark: "parser", Sched: "stride", Stride: 1}, client.SimulateRequest{Benchmark: "parser"}, true},
+		{client.SimulateRequest{Benchmark: "parser", Sched: "eager", Cores: 4},
+			client.SimulateRequest{Benchmark: "parser", Cores: 4}, false},
 		{client.SimulateRequest{Benchmark: "parser", Sched: "eager", Cores: 4, Stride: 64},
 			client.SimulateRequest{Benchmark: "parser", Sched: "eager", Cores: 4}, true},
 		{client.SimulateRequest{Benchmark: "parser", Sched: "stride", Cores: 4, Stride: 1},

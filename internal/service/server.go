@@ -34,8 +34,6 @@ import (
 
 	"repro/internal/artifact"
 	"repro/internal/guard"
-	"repro/internal/harness"
-	"repro/internal/trace"
 	"repro/spt/client"
 )
 
@@ -788,9 +786,6 @@ func gcCycles() int64 {
 
 // gaugesNow snapshots the live state for a metrics scrape.
 func (s *Server) gaugesNow() gauges {
-	cs := s.cache.Stats()
-	bp, bv := harness.BroadcastStats()
-	ca, cr := trace.ChunkCounts()
 	var jbytes, jcompactions int64
 	if s.journal != nil {
 		jbytes = s.journal.SizeBytes()
@@ -806,21 +801,7 @@ func (s *Server) gaugesNow() gauges {
 		inflight:           s.inflight.Load(),
 		draining:           s.draining.Load(),
 		retryAfter:         s.retryAfterSeconds(""),
-		cacheHits:          cs.Hits,
-		cacheMisses:        cs.Misses,
-		cacheEntries:       cs.Entries,
-		cacheEvictions:     cs.Evictions,
-		cacheCorruptions:   cs.IntegrityEvictions,
-		cacheHitRatio:      cs.HitRatio(),
-		traceHits:          cs.RecordingHits,
-		traceMisses:        cs.RecordingMisses,
-		traceBytes:         cs.Bytes,
-		captureBytes:       cs.CaptureBytes,
-		chunksAllocated:    ca,
-		chunksReused:       cr,
 		gcCycles:           gcCycles(),
-		broadcastPasses:    bp,
-		batchedVariants:    bv,
-		specOutcomes:       harness.SpecOutcomes(),
+		cache:              s.cache.Stats(),
 	}
 }

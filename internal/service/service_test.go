@@ -467,6 +467,63 @@ func TestMetricsExposition(t *testing.T) {
 	}
 }
 
+// TestMetricsArePerServer runs two daemons in one process on the real
+// pipeline: the work one serves shows in its own /metrics and in no other.
+// Its speculation counts are those of the simulation it completed.
+func TestMetricsArePerServer(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real pipeline in -short mode")
+	}
+	_, _, a := startServer(t, Config{Workers: 1})
+	_, _, b := startServer(t, Config{Workers: 1})
+	ctx := context.Background()
+	metric := func(cl *client.Client, name string) float64 {
+		t.Helper()
+		m, err := cl.Metrics(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, ok := client.MetricValue(m, name)
+		if !ok {
+			t.Fatalf("metrics exposition missing %s", name)
+		}
+		return v
+	}
+
+	res, err := a.Simulate(ctx, client.SimulateRequest{Benchmark: "parser"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.SPT.FastCommits+res.SPT.Replays == 0 {
+		t.Fatalf("simulate committed no windows: %+v", res.SPT)
+	}
+	for name, want := range map[string]int64{
+		`sptd_spec_commits_total{kind="fast"}`:   res.SPT.FastCommits,
+		`sptd_spec_commits_total{kind="replay"}`: res.SPT.Replays,
+	} {
+		if got := metric(a, name); got != float64(want) {
+			t.Errorf("server A: %s = %v; want %d, the simulation's own count", name, got, want)
+		}
+	}
+	// Two fresh SRB sizes miss together: one broadcast pass.
+	if _, err := a.Sweep(ctx, client.SweepRequest{Benchmark: "parser", Sweep: "srb", Points: []int{16, 64}}); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"sptd_sweep_broadcast_passes_total", "sptd_trace_chunks_allocated_total"} {
+		if metric(a, name) == 0 {
+			t.Errorf("server A: %s = 0 after its own work", name)
+		}
+	}
+	for _, name := range []string{
+		`sptd_spec_commits_total{kind="fast"}`, `sptd_spec_commits_total{kind="replay"}`,
+		"sptd_sweep_broadcast_passes_total", "sptd_trace_chunks_allocated_total",
+	} {
+		if v := metric(b, name); v != 0 {
+			t.Errorf("server B: %s = %v; want 0, it served nothing", name, v)
+		}
+	}
+}
+
 func TestAsyncJobLifecycle(t *testing.T) {
 	stub := &stubPipeline{
 		simulate: func(_ context.Context, req client.SimulateRequest, _ guard.Budget) (*client.SimulateResponse, error) {

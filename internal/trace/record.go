@@ -54,15 +54,6 @@ type Chunk struct {
 // its footprint that does not depend on the snapshots it holds.
 const ChunkBytes = int64(unsafe.Sizeof(Chunk{}))
 
-// Process-wide chunk counters (ChunkCounts).
-var chunksAllocated, chunksReused atomic.Int64
-
-// ChunkCounts reports how many recording chunks captures have allocated
-// fresh and how many they took recycled, since process start.
-func ChunkCounts() (allocated, reused int64) {
-	return chunksAllocated.Load(), chunksReused.Load()
-}
-
 // reset empties a chunk for reuse, keeping its snapshot table capacity.
 func (c *Chunk) reset() {
 	c.n = 0
@@ -383,11 +374,9 @@ func (r *Recorder) grab() *Chunk {
 		c = r.rec.src.Take()
 	}
 	if c != nil {
-		chunksReused.Add(1)
 		c.reset()
 		return c
 	}
-	chunksAllocated.Add(1)
 	return new(Chunk)
 }
 
