@@ -44,8 +44,9 @@
 // restores its journaled results into the store. See ARCHITECTURE.md,
 // "Distributed operation".
 //
-// Memory: every trace is captured by the interpreter into a recording on
-// the Go heap, and -cache-bytes (default 512 MiB, -1 = unbounded) bounds the
+// Memory: each SPT program's trace is captured by the interpreter into a
+// recording on the Go heap (baselines simulate live and keep no trace),
+// and -cache-bytes (default 512 MiB, -1 = unbounded) bounds the
 // recordings the artifact cache keeps. sptd sets the runtime's GC percent
 // to 25 and, when the bound is set, its soft memory limit to -cache-bytes
 // plus 256 MiB; GOGC or GOMEMLIMIT in the environment overrides the

@@ -318,8 +318,13 @@ func (c Config) Canonical() Config {
 
 // BaselineConfig returns the single-core reference configuration: the same
 // core and memory subsystem with thread-level speculation disabled.
-func BaselineConfig() Config {
-	c := DefaultConfig()
+func BaselineConfig() Config { return DefaultConfig().Baseline() }
+
+// Baseline returns the single-core machine c is compared against: c with
+// thread-level speculation disabled. Canonical normalizes every
+// speculation parameter of the result, so machines that differ only in
+// those share one baseline simulation.
+func (c Config) Baseline() Config {
 	c.SPT = false
 	return c
 }

@@ -119,6 +119,7 @@ type Cache struct {
 	evictions atomic.Int64
 
 	recHits   atomic.Int64
+	recJoins  atomic.Int64
 	recMisses atomic.Int64
 
 	integrity          atomic.Bool
@@ -234,6 +235,7 @@ type Stats struct {
 	IntegrityEvictions int64 // artifacts evicted because their checksum no longer matched
 
 	RecordingHits   int64 // recording lookups that coalesced onto an existing capture
+	RecordingJoins  int64 // the RecordingHits whose capture was still running
 	RecordingMisses int64 // recording lookups that had to interpret
 	Bytes           int64 // resident bytes of Sized artifacts (recordings), running captures included
 	CaptureBytes    int64 // bytes of chunks running captures hold
@@ -280,6 +282,7 @@ func (c *Cache) Stats() Stats {
 		Evictions:          c.evictions.Load(),
 		IntegrityEvictions: c.integrityEvictions.Load(),
 		RecordingHits:      c.recHits.Load(),
+		RecordingJoins:     c.recJoins.Load(),
 		RecordingMisses:    c.recMisses.Load(),
 		Bytes:              bytes,
 		CaptureBytes:       capBytes,
@@ -470,10 +473,14 @@ func (c *Cache) do(k key, fn func(e *entry) (any, error)) (any, error) {
 		if e.elem != nil && c.lru != nil {
 			c.lru.MoveToFront(e.elem)
 		}
+		joined := !e.completed()
 		c.unlock()
 		c.hits.Add(1)
 		if k.kind == kindRecording {
 			c.recHits.Add(1)
+			if joined {
+				c.recJoins.Add(1)
+			}
 		}
 		<-e.done
 		return e.val, e.err

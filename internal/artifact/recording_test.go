@@ -4,6 +4,8 @@ package artifact
 // per-kind hit/miss accounting, integrity checksums and bulk release.
 
 import (
+	"errors"
+	"runtime"
 	"testing"
 
 	"repro/internal/compiler"
@@ -63,6 +65,52 @@ func TestRecordingCacheCoalesces(t *testing.T) {
 	}
 	if st.Bytes != a.Bytes()+syntheticRecording(500).Bytes() {
 		t.Fatalf("resident bytes %d do not match the stored recordings", st.Bytes)
+	}
+}
+
+// TestRecordingJoinsCountInFlight: a lookup that arrives while the
+// capture still runs is a hit and a join; one that arrives after it
+// completed is a hit only.
+func TestRecordingJoinsCountInFlight(t *testing.T) {
+	c := &Cache{}
+	p := tinyProgram(1)
+	started, finish := make(chan struct{}), make(chan struct{})
+	lease := func(capture func(trace.ChunkSource) (*trace.Recording, error)) chan error {
+		done := make(chan error, 1)
+		go func() {
+			rec, err := c.LeaseRecording(p, 0, capture)
+			if err == nil {
+				rec.Release()
+			}
+			done <- err
+		}()
+		return done
+	}
+	unexpected := func(trace.ChunkSource) (*trace.Recording, error) {
+		return nil, errors.New("a second capture ran")
+	}
+	owner := lease(func(src trace.ChunkSource) (*trace.Recording, error) {
+		close(started)
+		<-finish
+		return recordInto(src, 1000), nil
+	})
+	<-started
+	joiner := lease(unexpected)
+	for c.Stats().RecordingHits == 0 {
+		runtime.Gosched()
+	}
+	close(finish)
+	for _, done := range []chan error{owner, joiner} {
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := <-lease(unexpected); err != nil {
+		t.Fatal(err)
+	}
+	st := c.Stats()
+	if st.RecordingMisses != 1 || st.RecordingHits != 2 || st.RecordingJoins != 1 {
+		t.Fatalf("recording stats = %d misses / %d hits / %d joins; want 1/2/1", st.RecordingMisses, st.RecordingHits, st.RecordingJoins)
 	}
 }
 

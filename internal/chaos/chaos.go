@@ -315,8 +315,8 @@ type captureWriter struct {
 	buf    bytes.Buffer
 }
 
-func (c *captureWriter) Header() http.Header       { return c.hdr }
-func (c *captureWriter) WriteHeader(code int)      { c.status = code }
+func (c *captureWriter) Header() http.Header         { return c.hdr }
+func (c *captureWriter) WriteHeader(code int)        { c.status = code }
 func (c *captureWriter) Write(p []byte) (int, error) { return c.buf.Write(p) }
 
 // streamSlow dribbles body out in eight chunks spread across total,

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"context"
+	"errors"
 	"sync"
 	"testing"
 
@@ -9,31 +10,36 @@ import (
 	"repro/internal/artifact"
 	"repro/internal/bench"
 	"repro/internal/multispec"
+	"repro/internal/trace"
 )
 
 // TestCacheAccounting pins the artifact traffic of the two pipelines the
 // daemon serves. Operators (and the repo benchmark's validity guards) read
 // these counts as cache-miss metrics, so a refactor of the pipeline must
-// leave them exactly as they are.
+// leave them exactly as they are. Only the SPT program's trace is
+// recorded: the baseline stage simulates live, since its one simulation
+// per program is memoized and its trace would never be replayed. The
+// cold-programs guard subtracts trace misses from cache misses, so its
+// count of program, compile and simulation misses is the same either way.
 func TestCacheAccounting(t *testing.T) {
 	const name, scale = "parser", 1
 	cache := &artifact.Cache{}
 	opts := GuardOptions{Artifacts: cache, RecordTraces: true}
 
-	// Cold simulate: the optimized program, its compilation, one recording
-	// per simulated program (baseline and SPT code) and one simulation each.
+	// Cold simulate: the optimized program, its compilation, the SPT
+	// program's recording and one simulation per stage (baseline and SPT).
 	if _, err := RunBenchmarkGuarded(context.Background(), name, scale, arch.DefaultConfig(), opts); err != nil {
 		t.Fatal(err)
 	}
 	st := cache.Stats()
-	if st.Hits != 0 || st.Misses != 6 || st.RecordingMisses != 2 {
-		t.Fatalf("cold simulate: hits=%d misses=%d recording misses=%d; want 0, 6 (program, compile, 2 recordings, 2 simulations), 2",
+	if st.Hits != 0 || st.Misses != 5 || st.RecordingMisses != 1 {
+		t.Fatalf("cold simulate: hits=%d misses=%d recording misses=%d; want 0, 5 (program, compile, SPT recording, 2 simulations), 1",
 			st.Hits, st.Misses, st.RecordingMisses)
 	}
 
 	// A fresh k-point sweep on the warmed program: every new SPT
 	// configuration is one simulation miss; the program, its compilation,
-	// the baseline and the recordings are all served from the cache.
+	// the baseline and the SPT recording are all served from the cache.
 	variants := SRBVariants([]int{16, 64, 256})
 	if _, err := Sweep(context.Background(), name, scale, variants, GuardOptions{Artifacts: cache}); err != nil {
 		t.Fatal(err)
@@ -43,7 +49,35 @@ func TestCacheAccounting(t *testing.T) {
 		t.Errorf("sweep: %d misses; want %d (one simulation per fresh variant)", d, len(variants))
 	}
 	if d := after.RecordingMisses - st.RecordingMisses; d != 0 {
-		t.Errorf("sweep: %d recording misses; want 0 (the recordings are warm)", d)
+		t.Errorf("sweep: %d recording misses; want 0 (the SPT recording is warm)", d)
+	}
+}
+
+// TestOnlySPTTraceKept: a cold run that records traces keeps exactly one
+// recording, the SPT program's, and every resident byte is that
+// recording's. The baseline stage simulates live and keeps nothing.
+func TestOnlySPTTraceKept(t *testing.T) {
+	const name, scale = "gzip", 1
+	cache := &artifact.Cache{}
+	cfg := arch.DefaultConfig()
+	run, err := RunBenchmarkGuarded(context.Background(), name, scale, cfg, GuardOptions{Artifacts: cache, RecordTraces: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := cache.Stats()
+	// Program, compilation, baseline and SPT simulations, one recording.
+	if st.Entries != 5 || st.RecordingMisses != 1 {
+		t.Fatalf("cold run left %d entries after %d recording misses; want 5 and 1", st.Entries, st.RecordingMisses)
+	}
+	rec, err := cache.LeaseRecording(run.Compile.Program, cfg.StepLimit, func(trace.ChunkSource) (*trace.Recording, error) {
+		return nil, errors.New("the SPT program's recording is not cached")
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rec.Release()
+	if st.Bytes != rec.Bytes() {
+		t.Errorf("cache holds %d bytes; the SPT recording is %d", st.Bytes, rec.Bytes())
 	}
 }
 

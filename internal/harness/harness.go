@@ -67,9 +67,9 @@ func (r *BenchRun) Speedup() float64 {
 
 // RunBenchmarkCached evaluates one benchmark at the given scale under the
 // given machine configuration, through an artifact cache: the generated
-// program, its compilation, its trace recordings and both simulations are
-// memoized so sweeps revisiting the same point reuse them. A nil cache
-// computes everything directly on the live interpreter feed.
+// program, its compilation, the SPT program's trace recording and both
+// simulations are memoized so sweeps revisiting the same point reuse them.
+// A nil cache computes everything directly on the live interpreter feed.
 func RunBenchmarkCached(name string, scale int, cfg arch.Config, cache *artifact.Cache) (*BenchRun, error) {
 	return RunBenchmarkGuarded(context.Background(), name, scale, cfg, GuardOptions{Artifacts: cache, RecordTraces: true})
 }
@@ -110,23 +110,17 @@ func compileBench(cache *artifact.Cache, name string, orig *ir.Program, run func
 	})
 }
 
-func baselineOf(cfg arch.Config) arch.Config {
-	cfg.SPT = false
-	return cfg
-}
-
 // simulate runs p under every configuration of cfgs on one engine bank,
-// fed by a single pass over the program's trace. With RecordTraces and a
-// cache, the trace is leased from the cache (memoized under its
-// fingerprint and step limit, which all cfgs share): on a miss the bank
-// rides the capture's interpreter pass (arch.CaptureMulti), on a hit it
-// reads the recording in place (arch.RunRecordedMulti). Otherwise the bank
-// rides an interpreter pass whose trace is not kept (arch.RunMulti). All
-// three are bit-identical. Engines fail individually (validation, cycle
-// budget) without aborting their siblings. A failed capture this call ran
-// reports the bank's per-engine errors; a failed capture this call joined
-// fails every engine with its error.
-func simulate(ctx context.Context, opts GuardOptions, p *ir.Program, cfgs []arch.Config) ([]*arch.RunStats, []error) {
+// fed by a single pass over the program's trace. With a trace cache, the
+// trace is leased from it (memoized under its fingerprint and step limit,
+// which all cfgs share): on a miss the bank rides the capture's
+// interpreter pass (arch.CaptureMulti), on a hit it reads the recording in
+// place (arch.RunRecordedMulti). A nil traces runs a live pass whose trace
+// is not kept (arch.RunMulti). All three are bit-identical. Engines fail
+// individually (validation, cycle budget) without aborting their siblings.
+// A failed capture this call ran reports the bank's per-engine errors; a
+// failed capture this call joined fails every engine with its error.
+func simulate(ctx context.Context, traces *artifact.Cache, p *ir.Program, cfgs []arch.Config) ([]*arch.RunStats, []error) {
 	stats := make([]*arch.RunStats, len(cfgs))
 	errs := make([]error, len(cfgs))
 	fail := func(err error) ([]*arch.RunStats, []error) {
@@ -139,12 +133,12 @@ func simulate(ctx context.Context, opts GuardOptions, p *ir.Program, cfgs []arch
 	if err != nil {
 		return fail(err)
 	}
-	if !opts.RecordTraces || opts.Artifacts == nil {
+	if traces == nil {
 		return arch.RunMulti(ctx, lp, cfgs)
 	}
 	limit := cfgs[0].StepLimit
 	captured := false
-	rec, err := opts.Artifacts.LeaseRecording(p, limit, func(src trace.ChunkSource) (*trace.Recording, error) {
+	rec, err := traces.LeaseRecording(p, limit, func(src trace.ChunkSource) (*trace.Recording, error) {
 		captured = true
 		rec, st, es, err := arch.CaptureMulti(ctx, lp, cfgs, limit, src)
 		stats, errs = st, es
@@ -178,15 +172,18 @@ type GuardOptions struct {
 	// (program, configuration) point reuse the stored result instead of
 	// recomputing it. Results are identical to an uncached run.
 	Artifacts *artifact.Cache
-	// RecordTraces keeps simulated traces: the pass that simulates a
-	// program's first batch also captures its architectural trace into
-	// Artifacts, and later batches read the recording instead of
+	// RecordTraces keeps the SPT stage's traces: the pass that simulates
+	// an SPT program's first batch also captures its architectural trace
+	// into Artifacts, and later batches read the recording instead of
 	// re-interpreting. Recordings are tens of MB per program, so this pays
 	// off only when later batches revisit the program — Sweep always turns
 	// it on, and so does the daemon, whose cache outlives the request;
 	// one-shot evaluations (RunAllGuarded over distinct benchmarks) leave it
 	// off, and their trace is dropped as the pass goes. Without Artifacts
-	// nothing is kept either way.
+	// nothing is kept either way. The baseline stage never keeps its trace:
+	// every machine shares one baseline per (program, step limit), whose
+	// simulation Artifacts memoizes, so a kept baseline trace would never
+	// be read again.
 	RecordTraces bool
 }
 
@@ -252,9 +249,11 @@ func evaluate(ctx context.Context, name string, scale int, cfgs []arch.Config, o
 // pipeline. The compile stage runs once for the whole batch. Each
 // simulation stage makes one batched cache transaction
 // (artifact.Cache.SimulateBatch) whose misses one simulate call computes,
-// so configurations that canonicalize alike (most baselines) simulate once.
-// A configuration whose baseline fails skips the SPT stage. Each stage gets
-// its own deadline derived from the budget.
+// so configurations that canonicalize alike (every baseline) simulate once.
+// Only the SPT stage leases recordings (see GuardOptions.RecordTraces); the
+// baseline stage always runs a live pass. A configuration whose baseline
+// fails skips the SPT stage. Each stage gets its own deadline derived from
+// the budget.
 func evaluateOnce(ctx context.Context, name string, scale int, cfgs []arch.Config, opts GuardOptions) ([]*BenchRun, []error) {
 	budget := opts.Budget
 	cache := opts.Artifacts
@@ -286,9 +285,10 @@ func evaluateOnce(ctx context.Context, name string, scale int, cfgs []arch.Confi
 	}
 
 	// simulateStage simulates p under cfgOf(cfgs[i]) for every member i of
-	// live, storing the stats in out[i], and returns the members that
-	// succeeded; the others get their errors, attributed to the stage.
-	simulateStage := func(stage string, p *ir.Program, live []int, cfgOf func(arch.Config) arch.Config, out []*arch.RunStats) []int {
+	// live, on traces leased from traces (nil: a live pass), storing the
+	// stats in out[i], and returns the members that succeeded; the others
+	// get their errors, attributed to the stage.
+	simulateStage := func(stage string, p *ir.Program, traces *artifact.Cache, live []int, cfgOf func(arch.Config) arch.Config, out []*arch.RunStats) []int {
 		scfgs := make([]arch.Config, len(live))
 		for j, i := range live {
 			scfgs[j] = cfgOf(cfgs[i])
@@ -303,7 +303,7 @@ func evaluateOnce(ctx context.Context, name string, scale int, cfgs []arch.Confi
 				for j, m := range miss {
 					mcfgs[j] = scfgs[m]
 				}
-				return simulate(sctx, opts, p, mcfgs)
+				return simulate(sctx, traces, p, mcfgs)
 			})
 			return nil
 		})
@@ -328,8 +328,12 @@ func evaluateOnce(ctx context.Context, name string, scale int, cfgs []arch.Confi
 	}
 	base := make([]*arch.RunStats, len(cfgs))
 	spt := make([]*arch.RunStats, len(cfgs))
-	live = simulateStage(guard.StageBaseline, orig, live, baselineOf, base)
-	live = simulateStage(guard.StageSimulate, cres.Program, live, func(c arch.Config) arch.Config { return c }, spt)
+	var traces *artifact.Cache
+	if opts.RecordTraces {
+		traces = cache
+	}
+	live = simulateStage(guard.StageBaseline, orig, nil, live, arch.Config.Baseline, base)
+	live = simulateStage(guard.StageSimulate, cres.Program, traces, live, func(c arch.Config) arch.Config { return c }, spt)
 	for _, i := range live {
 		runs[i] = &BenchRun{Name: name, Compile: cres, Baseline: base[i], SPT: spt[i]}
 	}
@@ -675,13 +679,13 @@ type Variant struct {
 
 // Sweep evaluates every variant of one benchmark under the guarded
 // pipeline. Variants sharing a (program, step-limit) recording are grouped
-// into one batch: the batch holds a single work-slot, performs one
-// recording lookup per simulation stage, and a single trace pass feeds one
-// engine per variant (see simulate). Rows come back in variant order, and
-// with opts.Artifacts set the numbers are identical to a sequential
-// uncached run (the shared compile, baseline and repeated-configuration
-// simulations are memoized, not approximated; every pass is bit-identical
-// to a live run — see TestSweepDeterminism and
+// into one batch: the batch holds a single work-slot, each simulation
+// stage makes one trace pass that feeds one engine per variant, and the
+// SPT stage's pass reads (or captures) the one recording (see simulate).
+// Rows come back in variant order, and with opts.Artifacts set the numbers
+// are identical to a sequential uncached run (the shared compile, baseline
+// and repeated-configuration simulations are memoized, not approximated;
+// every pass is bit-identical to a live run — see TestSweepDeterminism and
 // TestReplayDeterminismAcrossVariants).
 //
 // Sweep degrades gracefully: a failed variant does not abort its batch

@@ -23,7 +23,7 @@ import (
 func TestLeasedRecordingsUnderEviction(t *testing.T) {
 	names := []string{"gap", "parser", "vortex", "crafty"}
 	banks := [][]arch.Config{
-		{arch.DefaultConfig(), baselineOf(arch.DefaultConfig())},
+		{arch.DefaultConfig(), arch.BaselineConfig()},
 		{srb(16), cores(4)},
 	}
 	progs := make([]*ir.Program, len(names))
@@ -36,7 +36,7 @@ func TestLeasedRecordingsUnderEviction(t *testing.T) {
 		}
 		progs[i] = cres.Program
 		for _, cfgs := range banks {
-			st, errs := simulate(context.Background(), GuardOptions{}, progs[i], cfgs)
+			st, errs := simulate(context.Background(), nil, progs[i], cfgs)
 			for _, err := range errs {
 				if err != nil {
 					t.Fatalf("%s uncached: %v", name, err)
@@ -56,7 +56,6 @@ func TestLeasedRecordingsUnderEviction(t *testing.T) {
 	}
 
 	cache := artifact.NewBoundedBytes(0, biggest+biggest/4)
-	opts := GuardOptions{Artifacts: cache, RecordTraces: true}
 	const workers, rounds = 3, 3
 	var wg sync.WaitGroup
 	errc := make(chan error, workers*rounds*len(names)*2)
@@ -68,7 +67,7 @@ func TestLeasedRecordingsUnderEviction(t *testing.T) {
 				for k := range names {
 					i := (k + w) % len(names)
 					b := (r + w) % len(banks)
-					got, errs := simulate(context.Background(), opts, progs[i], banks[b])
+					got, errs := simulate(context.Background(), cache, progs[i], banks[b])
 					for j := range got {
 						if errs[j] != nil {
 							errc <- fmt.Errorf("%s bank %d: %w", names[i], b, errs[j])
@@ -120,14 +119,14 @@ func TestFailedCaptureKeepsPerConfigErrors(t *testing.T) {
 	bad.StepLimit, good.StepLimit = 2000, 2000
 	cfgs := []arch.Config{bad, good}
 	ctx := context.Background()
-	_, want := simulate(ctx, GuardOptions{}, p, cfgs)
+	_, want := simulate(ctx, nil, p, cfgs)
 	if want[0] == nil || want[1] == nil || want[0].Error() == want[1].Error() {
 		t.Fatalf("live pass errors %v / %v; want a validation error and a step-limit error", want[0], want[1])
 	}
 	if !errors.Is(want[1], interp.ErrStepLimit) {
 		t.Fatalf("valid machine failed with %v; want the step limit", want[1])
 	}
-	_, got := simulate(ctx, GuardOptions{Artifacts: &artifact.Cache{}, RecordTraces: true}, p, cfgs)
+	_, got := simulate(ctx, &artifact.Cache{}, p, cfgs)
 	for i := range cfgs {
 		if got[i] == nil || got[i].Error() != want[i].Error() {
 			t.Errorf("config %d: capturing pass reports %v; want %v", i, got[i], want[i])

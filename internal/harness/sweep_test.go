@@ -76,21 +76,21 @@ func TestSweepDeterminism(t *testing.T) {
 	// Six variants share one program, one compile, one baseline; three of
 	// them are the default configuration. The cache must have collapsed the
 	// duplicates: at most program+compile+baseline+4 distinct SPT sims,
-	// plus the two shared trace recordings (baseline program + SPT program)
-	// every simulation replays from.
-	if st.Entries > 9 {
+	// plus the one SPT program recording every SPT simulation replays
+	// from. The baseline simulates live and keeps no recording.
+	if st.Entries > 8 {
 		t.Errorf("cache holds %d entries; duplicate work was not collapsed", st.Entries)
 	}
-	if st.RecordingMisses != 2 {
-		t.Errorf("sweep interpreted %d traces; want exactly 2 (baseline + SPT program)", st.RecordingMisses)
+	if st.RecordingMisses != 1 {
+		t.Errorf("sweep interpreted %d traces; want exactly 1 (the SPT program)", st.RecordingMisses)
 	}
 	// The six same-step-limit variants form one batch, whose two stages each
-	// lease their recording once and feed their bank in a single pass (on
-	// the cold pass, the pass that captures the recording). Only passes
-	// that feed two or more engines count as broadcasts: the baseline pass
-	// feeds the one deduplicated baseline engine and does not count; the SPT
-	// pass feeds the four distinct SPT engines. The warm pass is answered
-	// entirely from the cache and broadcasts nothing.
+	// feed their bank in a single pass: the baseline stage a live pass, the
+	// SPT stage the pass that captures its recording (on the cold pass).
+	// Only passes that feed two or more engines count as broadcasts: the
+	// baseline pass feeds the one deduplicated baseline engine and does not
+	// count; the SPT pass feeds the four distinct SPT engines. The warm pass
+	// is answered entirely from the cache and broadcasts nothing.
 	if got := st.BroadcastPasses; got != 1 {
 		t.Errorf("broadcast passes = %d; want 1 (the SPT stage, cold pass only)", got)
 	}

@@ -203,8 +203,10 @@ func (m *metrics) render(w io.Writer, g gauges) {
 	gauge("sptd_cache_entries", "Artifacts currently resident in the cache.", float64(c.Entries))
 	gauge("sptd_cache_hit_ratio", "hits / (hits + misses) since start.", c.HitRatio())
 
-	counterHead("sptd_trace_cache_hits_total", "Simulations that replayed a shared trace recording instead of re-interpreting.")
+	counterHead("sptd_trace_cache_hits_total", "Simulations that replayed a shared trace recording instead of re-interpreting, joins included.")
 	fmt.Fprintf(w, "sptd_trace_cache_hits_total %d\n", c.RecordingHits)
+	counterHead("sptd_trace_cache_joins_total", "Trace cache hits that joined a capture still in flight, counted in sptd_trace_cache_hits_total.")
+	fmt.Fprintf(w, "sptd_trace_cache_joins_total %d\n", c.RecordingJoins)
 	counterHead("sptd_trace_cache_misses_total", "Trace recordings that had to interpret the program.")
 	fmt.Fprintf(w, "sptd_trace_cache_misses_total %d\n", c.RecordingMisses)
 	gauge("sptd_trace_cache_bytes", "Resident bytes of cached trace recordings and running captures (LRU-bounded by -cache-bytes).", float64(c.Bytes))

@@ -2,6 +2,7 @@ package service
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"slices"
 	"strings"
@@ -88,6 +89,84 @@ func TestSweepVariantsMultiSpec(t *testing.T) {
 	vs, err = sweepVariants(client.SweepRequest{Sweep: "livein"})
 	if err != nil || len(vs) != 2 {
 		t.Fatalf("livein sweep: %d variants, %v", len(vs), err)
+	}
+}
+
+// TestAdmittedMachinesShareOneBaseline pins the invariant that lets the
+// baseline stage simulate live and keep no trace: the baseline of every
+// machine the daemon admits, from a simulate request or a sweep, is one
+// canonical machine, so each (program, budget) has a single baseline
+// simulation that the artifact cache computes once. A knob that changed
+// the baseline would make baselines miss, and each miss re-interpret the
+// program; this test fails first.
+func TestAdmittedMachinesShareOneBaseline(t *testing.T) {
+	want := arch.BaselineConfig().Canonical()
+	check := func(what string, cfg arch.Config) {
+		t.Helper()
+		if got := cfg.Baseline().Canonical(); got != want {
+			t.Errorf("%s: baseline canonicalizes to %+v; want %+v", what, got, want)
+		}
+	}
+	// Each enum knob takes its empty default and every wire name it has.
+	recoveries, regchecks, scheds, liveins := []string{""}, []string{""}, []string{""}, []string{""}
+	for k := arch.RecoveryKind(0); k.Valid(); k++ {
+		recoveries = append(recoveries, k.String())
+	}
+	for k := arch.RegCheckKind(0); k.Valid(); k++ {
+		regchecks = append(regchecks, k.String())
+	}
+	for k := multispec.PolicyKind(0); k.Valid(); k++ {
+		scheds = append(scheds, k.String())
+	}
+	for m := multispec.LiveInMode(0); m.Valid(); m++ {
+		liveins = append(liveins, m.String())
+	}
+
+	admitted := 0
+	for _, rec := range recoveries {
+		for _, rc := range regchecks {
+			for _, sched := range scheds {
+				for _, li := range liveins {
+					for _, srb := range []int{0, 1, 16, 64, 1024, 8192} {
+						for _, cores := range []int{0, 2, 3, 4, 8, multispec.MaxCores} {
+							for _, stride := range []int{0, 1, 2, 3, multispec.MaxStride} {
+								req := client.SimulateRequest{Benchmark: "parser", Recovery: rec, RegCheck: rc,
+									Sched: sched, LiveIn: li, SRB: srb, Cores: cores, Stride: stride}
+								cfg, err := ConfigFromRequest(req)
+								if err != nil {
+									continue
+								}
+								admitted++
+								check(fmt.Sprintf("%+v", req), cfg)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	if admitted == 0 {
+		t.Fatal("no simulate request was admitted")
+	}
+
+	for _, family := range []string{"recovery", "regcheck", "srb", "overhead", "cores", "sched", "livein"} {
+		variants := 0
+		for _, points := range [][]int{nil, {1}, {2, 8, 64}} {
+			for _, cores := range []int{0, 2, 3, 8, multispec.MaxCores} {
+				req := client.SweepRequest{Benchmark: "parser", Sweep: family, Points: points, Cores: cores}
+				vs, err := sweepVariants(req)
+				if err != nil {
+					continue
+				}
+				for _, v := range vs {
+					variants++
+					check(fmt.Sprintf("sweep %s points=%v cores=%d variant %q", family, points, cores, v.Label), v.Config)
+				}
+			}
+		}
+		if variants == 0 {
+			t.Errorf("sweep %s: no variant was admitted", family)
+		}
 	}
 }
 

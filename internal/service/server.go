@@ -54,8 +54,9 @@ type Config struct {
 	// CacheEntries bounds the artifact cache (default 4096 entries,
 	// LRU-evicted; negative = unbounded).
 	CacheEntries int
-	// CacheBytes bounds the resident bytes of cached trace recordings
-	// (default DefaultCacheBytes, LRU-evicted; negative = unbounded).
+	// CacheBytes bounds the resident bytes of cached trace recordings, one
+	// per SPT program and step limit (default DefaultCacheBytes,
+	// LRU-evicted; negative = unbounded).
 	// Recordings let concurrent requests for the same program coalesce
 	// onto a single interpretation, but a multi-hundred-MB trace must
 	// never pin the daemon's memory — the byte bound, not the entry bound,

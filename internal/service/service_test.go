@@ -440,7 +440,7 @@ func TestMetricsExposition(t *testing.T) {
 		"sptd_inflight_workers", "sptd_draining",
 		"sptd_jobs_total{outcome=\"ok\"}", "sptd_jobs_total{outcome=\"rejected\"}",
 		"sptd_cache_hits_total", "sptd_cache_hit_ratio",
-		"sptd_trace_cache_hits_total", "sptd_trace_cache_misses_total",
+		"sptd_trace_cache_hits_total", "sptd_trace_cache_joins_total", "sptd_trace_cache_misses_total",
 		"sptd_trace_cache_bytes", "sptd_trace_capture_bytes",
 		"sptd_trace_chunks_allocated_total", "sptd_trace_chunks_reused_total",
 		"sptd_go_gc_cycles_total",
